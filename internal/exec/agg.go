@@ -25,15 +25,15 @@ type Aggregator interface {
 }
 
 // BatchStepper is the optional vectorized extension of Aggregator: StepBatch
-// folds the selected rows of one column batch into the state, equivalent to
+// folds column ord of the selected rows into the state, equivalent to
 // calling Step once per selected row in sel order (so NULL handling, type
-// coercion, and overflow detection behave identically on both paths). A nil
-// column is the argument-less COUNT(*) form. Aggregates that do not
-// implement it — notably interpreted and compiled custom aggregates, whose
-// Accumulate bodies are procedural — are stepped row-at-a-time even inside
-// a batched plan.
+// coercion, and overflow detection behave identically on both paths). ord <
+// 0 is the argument-less COUNT(*) form. Aggregates that do not implement it
+// — notably interpreted and compiled custom aggregates, whose Accumulate
+// bodies are procedural — are stepped row-at-a-time even inside a batched
+// plan.
 type BatchStepper interface {
-	StepBatch(col *Column, sel []int) error
+	StepBatch(rows []Row, ord int, sel []int) error
 }
 
 // AggSpec describes an aggregate function available to the planner.
@@ -97,14 +97,14 @@ func (a *countAgg) Step(_ *Ctx, args []sqltypes.Value) error {
 	return nil
 }
 
-// StepBatch implements BatchStepper. A nil column is the COUNT(*) form.
-func (a *countAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil || !col.HasNulls() {
+// StepBatch implements BatchStepper. ord < 0 is the COUNT(*) form.
+func (a *countAgg) StepBatch(rows []Row, ord int, sel []int) error {
+	if ord < 0 {
 		a.n += int64(len(sel))
 		return nil
 	}
 	for _, i := range sel {
-		if !col.Null(i) {
+		if !rows[i][ord].IsNull() {
 			a.n++
 		}
 	}
@@ -164,12 +164,12 @@ func (a *sumAgg) add(v sqltypes.Value) error {
 }
 
 // StepBatch implements BatchStepper.
-func (a *sumAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
+func (a *sumAgg) StepBatch(rows []Row, ord int, sel []int) error {
+	if ord < 0 {
 		return fmt.Errorf("exec: sum expects 1 argument")
 	}
 	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
+		if err := a.add(rows[i][ord]); err != nil {
 			return err
 		}
 	}
@@ -231,12 +231,12 @@ func (a *avgAgg) add(v sqltypes.Value) error {
 }
 
 // StepBatch implements BatchStepper.
-func (a *avgAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
+func (a *avgAgg) StepBatch(rows []Row, ord int, sel []int) error {
+	if ord < 0 {
 		return fmt.Errorf("exec: avg expects 1 argument")
 	}
 	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
+		if err := a.add(rows[i][ord]); err != nil {
 			return err
 		}
 	}
@@ -296,12 +296,12 @@ func (a *minMaxAgg) add(v sqltypes.Value) error {
 }
 
 // StepBatch implements BatchStepper.
-func (a *minMaxAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
+func (a *minMaxAgg) StepBatch(rows []Row, ord int, sel []int) error {
+	if ord < 0 {
 		return fmt.Errorf("exec: min/max expects 1 argument")
 	}
 	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
+		if err := a.add(rows[i][ord]); err != nil {
 			return err
 		}
 	}
@@ -324,35 +324,4 @@ func (a *minMaxAgg) Merge(other Aggregator) error {
 		return nil
 	}
 	return a.Step(nil, []sqltypes.Value{o.best})
-}
-
-// FuncAggregator adapts three closures to the Aggregator contract; used for
-// native-Go custom aggregates registered through the public API.
-type FuncAggregator struct {
-	InitFn  func()
-	StepFn  func(ctx *Ctx, args []sqltypes.Value) error
-	FinalFn func(ctx *Ctx) (sqltypes.Value, error)
-	MergeFn func(other Aggregator) error // optional
-}
-
-// Reset implements Aggregator.
-func (a *FuncAggregator) Reset() {
-	if a.InitFn != nil {
-		a.InitFn()
-	}
-}
-
-// Step implements Aggregator.
-func (a *FuncAggregator) Step(ctx *Ctx, args []sqltypes.Value) error { return a.StepFn(ctx, args) }
-
-// Result implements Aggregator.
-func (a *FuncAggregator) Result(ctx *Ctx) (sqltypes.Value, error) { return a.FinalFn(ctx) }
-
-// Merge implements Aggregator; aggregates without MergeFn reject parallel
-// merging, which makes the planner fall back to serial aggregation.
-func (a *FuncAggregator) Merge(other Aggregator) error {
-	if a.MergeFn == nil {
-		return fmt.Errorf("exec: aggregate does not support Merge")
-	}
-	return a.MergeFn(other)
 }

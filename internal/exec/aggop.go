@@ -15,7 +15,7 @@ type AggInstance struct {
 	// ArgOrds, when non-nil (same length as Args), gives the input column
 	// ordinal of every argument: the planner sets it when each argument is a
 	// plain column reference, unlocking the vectorized StepBatch path that
-	// reads arguments straight out of batch columns instead of evaluating
+	// reads arguments straight out of the batch's rows instead of evaluating
 	// Args row by row.
 	ArgOrds []int
 }
@@ -50,9 +50,10 @@ func argBuffers(aggs []AggInstance) [][]sqltypes.Value {
 // output row, produced even for empty input (Init + Terminate only — the
 // semantics Aggify's empty-cursor case relies on).
 //
-// When the child produces batches natively (and NoBatch is unset) the input
-// is consumed through the vectorized fold in aggbatch.go; groups and rows
-// are visited in the same order on both paths, so results are byte-identical.
+// Rows fold through the group table in grouptable.go — as whole batches
+// when the child produces them natively (and NoBatch is unset); groups and
+// rows are visited in the same order on both paths, so results are
+// byte-identical.
 type HashAggOp struct {
 	Child     Operator
 	GroupKeys []Scalar
@@ -79,93 +80,13 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 		return err
 	}
 	defer o.Child.Close()
-
-	var order []*pagGroup
-	if !o.NoBatch && CanBatch(o.Child) && BatchWorthwhile(len(o.GroupKeys), o.GroupOrds, o.Aggs) {
-		f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs, true)
-		if err := f.run(ctx, o.Child.(BatchOperator)); err != nil {
-			return err
-		}
-		order = f.order
-	} else {
-		var err error
-		if order, err = o.rowFold(ctx); err != nil {
-			return err
-		}
+	t := newGroupTable(o.GroupKeys, o.GroupOrds, o.Aggs)
+	if err := t.fold(ctx, o.Child, o.NoBatch); err != nil {
+		return err
 	}
-	for _, g := range order {
-		out := make(Row, len(g.keys)+len(g.aggs))
-		copy(out, g.keys)
-		for i, a := range g.aggs {
-			v, err := a.Result(ctx)
-			if err != nil {
-				return err
-			}
-			out[len(g.keys)+i] = v
-		}
-		o.groups = append(o.groups, out)
-	}
-	return nil
-}
-
-// rowFold is the row-at-a-time accumulation loop.
-func (o *HashAggOp) rowFold(ctx *Ctx) ([]*pagGroup, error) {
-	newGroup := func(keys []sqltypes.Value) *pagGroup {
-		g := &pagGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
-		for i, ai := range o.Aggs {
-			g.aggs[i] = ai.Spec.New()
-			g.aggs[i].Reset()
-		}
-		return g
-	}
-	table := map[uint64][]*pagGroup{}
-	bufs := argBuffers(o.Aggs)
-	var order []*pagGroup // preserve first-seen group order for determinism
-	var scalarGroup *pagGroup
-	if len(o.GroupKeys) == 0 {
-		scalarGroup = newGroup(nil)
-		order = append(order, scalarGroup)
-	}
-	n := 0
-	for {
-		row, err := o.Child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return order, nil
-		}
-		n++
-		if n%1024 == 0 && ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		g := scalarGroup
-		if g == nil {
-			keys := make([]sqltypes.Value, len(o.GroupKeys))
-			for i, k := range o.GroupKeys {
-				if keys[i], err = k(ctx, row); err != nil {
-					return nil, err
-				}
-			}
-			h := sqltypes.HashRow(keys)
-			for _, cand := range table[h] {
-				if sqltypes.RowsGroupEqual(cand.keys, keys) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				g = newGroup(keys)
-				table[h] = append(table[h], g)
-				order = append(order, g)
-			}
-		}
-		for i := range o.Aggs {
-			if err := o.Aggs[i].step(ctx, g.aggs[i], row, bufs[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
+	var err error
+	o.groups, err = t.results(ctx)
+	return err
 }
 
 // Next implements Operator.
@@ -210,28 +131,6 @@ func (o *StreamAggOp) Open(ctx *Ctx) error {
 	return o.Child.Open(ctx)
 }
 
-func (o *StreamAggOp) freshAggs() []Aggregator {
-	aggs := make([]Aggregator, len(o.Aggs))
-	for i, ai := range o.Aggs {
-		aggs[i] = ai.Spec.New()
-		aggs[i].Reset()
-	}
-	return aggs
-}
-
-func (o *StreamAggOp) result(ctx *Ctx) (Row, error) {
-	out := make(Row, len(o.curKeys)+len(o.curAggs))
-	copy(out, o.curKeys)
-	for i, a := range o.curAggs {
-		v, err := a.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out[len(o.curKeys)+i] = v
-	}
-	return out, nil
-}
-
 // Next implements Operator.
 func (o *StreamAggOp) Next(ctx *Ctx) (Row, error) {
 	if o.childEOF {
@@ -257,13 +156,13 @@ func (o *StreamAggOp) Next(ctx *Ctx) (Row, error) {
 				}
 				o.emitted = true
 				if !o.started {
-					o.curAggs = o.freshAggs()
+					o.curAggs = newAggregators(o.Aggs)
 				}
-				return o.result(ctx)
+				return resultRow(ctx, o.curKeys, o.curAggs)
 			}
 			if o.started {
 				o.started = false
-				return o.result(ctx)
+				return resultRow(ctx, o.curKeys, o.curAggs)
 			}
 			return nil, nil
 		}
@@ -278,14 +177,14 @@ func (o *StreamAggOp) Next(ctx *Ctx) (Row, error) {
 		}
 		var emit Row
 		if o.started && len(o.GroupKeys) > 0 && !sqltypes.RowsGroupEqual(keys, o.curKeys) {
-			if emit, err = o.result(ctx); err != nil {
+			if emit, err = resultRow(ctx, o.curKeys, o.curAggs); err != nil {
 				return nil, err
 			}
 			o.started = false
 		}
 		if !o.started {
 			o.curKeys = keys
-			o.curAggs = o.freshAggs()
+			o.curAggs = newAggregators(o.Aggs)
 			o.started = true
 			if len(o.GroupKeys) == 0 {
 				o.emitted = false
@@ -309,29 +208,22 @@ func (o *StreamAggOp) Close() {
 	}
 }
 
-// ParallelAggOp aggregates its input across worker goroutines, each running
-// its own aggregator instances, and combines partial states with Merge —
-// the parallel path of the custom-aggregate contract (§3.1). It must only
-// be used for order-insensitive aggregates.
+// ParallelAggOp aggregates one pre-partitioned child subtree per worker —
+// typically Filter/Project chains over a ParallelScanOp — each worker
+// folding its partition into a private group table under a private context
+// (see parallel.go), so scans, predicate evaluation, and accumulation all
+// parallelize. Partial states combine with Merge — the parallel path of the
+// custom-aggregate contract (§3.1) — so it must only be used for
+// order-insensitive aggregates.
 //
-// Two input modes:
-//   - Parts (preferred): one pre-partitioned child subtree per worker,
-//     typically Filter/Project chains over a ParallelScanOp. Workers pull
-//     their partition concurrently under private contexts (see exchange.go)
-//     so scans, predicate evaluation, and accumulation all parallelize.
-//   - Child (fallback): the serial input is drained first, then split into
-//     contiguous chunks — only the accumulation parallelizes.
-//
-// Both modes merge worker partials in partition order into worker 0's
-// table, so the output group order equals the serial HashAggOp's first-seen
-// order (partitions are contiguous in serial input order) and results are
+// Worker partials merge in partition order into worker 0's table, so the
+// output group order equals the serial HashAggOp's first-seen order
+// (partitions are contiguous in serial input order) and results are
 // byte-identical to the serial plan.
 type ParallelAggOp struct {
-	Child     Operator
 	Parts     []Operator
 	GroupKeys []Scalar
 	Aggs      []AggInstance
-	Workers   int
 	// GroupOrds, when non-nil (same length as GroupKeys), gives the input
 	// column ordinal of every group key for the vectorized fold.
 	GroupOrds []int
@@ -345,84 +237,30 @@ type ParallelAggOp struct {
 // BufferedRows reports the number of materialized groups.
 func (o *ParallelAggOp) BufferedRows() int { return len(o.groups) }
 
-type pagGroup struct {
-	keys []sqltypes.Value
-	aggs []Aggregator
-	sel  []int // transient per-batch selection vector (batchAggFold only)
-}
-
 // Open implements Operator.
 func (o *ParallelAggOp) Open(ctx *Ctx) error {
 	o.groups = nil
 	o.pos = 0
-	var partials []map[uint64][]*pagGroup
-	var orders [][]*pagGroup
-	var err error
-	if len(o.Parts) > 0 {
-		partials, orders, err = o.runPartitioned(ctx)
-	} else {
-		partials, orders, err = o.runChunked(ctx)
-	}
+	tables, err := o.runPartitioned(ctx)
 	if err != nil {
 		return err
 	}
-	// Merge worker partials into worker 0's table.
-	master := partials[0]
-	masterOrder := orders[0]
-	for w := 1; w < len(partials); w++ {
-		for _, g := range orders[w] {
-			h := sqltypes.HashRow(g.keys)
-			var target *pagGroup
-			for _, cand := range master[h] {
-				if sqltypes.RowsGroupEqual(cand.keys, g.keys) {
-					target = cand
-					break
-				}
-			}
-			if target == nil {
-				master[h] = append(master[h], g)
-				masterOrder = append(masterOrder, g)
-				continue
-			}
-			for i := range target.aggs {
-				if err := target.aggs[i].Merge(g.aggs[i]); err != nil {
-					return err
-				}
-			}
+	for _, t := range tables[1:] {
+		if err := tables[0].merge(t); err != nil {
+			return err
 		}
 	}
-	if len(o.GroupKeys) == 0 && len(masterOrder) == 0 {
-		// Scalar aggregate over empty input: Init + Terminate.
-		g := &pagGroup{aggs: make([]Aggregator, len(o.Aggs))}
-		for i, ai := range o.Aggs {
-			g.aggs[i] = ai.Spec.New()
-			g.aggs[i].Reset()
-		}
-		masterOrder = append(masterOrder, g)
-	}
-	for _, g := range masterOrder {
-		out := make(Row, len(g.keys)+len(g.aggs))
-		copy(out, g.keys)
-		for i, a := range g.aggs {
-			v, err := a.Result(ctx)
-			if err != nil {
-				return err
-			}
-			out[len(g.keys)+i] = v
-		}
-		o.groups = append(o.groups, out)
-	}
-	return nil
+	o.groups, err = tables[0].results(ctx)
+	return err
 }
 
 // runPartitioned pulls one pre-partitioned subtree per worker, each folding
-// its rows into a private group table under a private context. An error in
-// any worker closes quit so the others stop promptly.
-func (o *ParallelAggOp) runPartitioned(ctx *Ctx) ([]map[uint64][]*pagGroup, [][]*pagGroup, error) {
-	n := len(o.Parts)
-	partials := make([]map[uint64][]*pagGroup, n)
-	orders := make([][]*pagGroup, n)
-	errs := make([]error, n)
+// its rows into a private group table under a private context. A partition
+// with no rows contributes no partial group. An error in any worker closes
+// quit so the others stop promptly.
+func (o *ParallelAggOp) runPartitioned(ctx *Ctx) ([]*groupTable, error) {
+	tables := make([]*groupTable, len(o.Parts))
+	errs := make([]error, len(o.Parts))
 	quit := make(chan struct{})
 	var abort sync.Once
 	stop := func() { abort.Do(func() { close(quit) }) }
@@ -441,148 +279,30 @@ func (o *ParallelAggOp) runPartitioned(ctx *Ctx) ([]map[uint64][]*pagGroup, [][]
 	}
 	var wg sync.WaitGroup
 	for w, part := range o.Parts {
+		tables[w] = newGroupTable(o.GroupKeys, o.GroupOrds, o.Aggs)
 		wg.Add(1)
 		go func(w int, part Operator) {
 			defer wg.Done()
 			wctx, flush := workerCtx(ctx, quit)
 			defer flush()
 			defer part.Close()
-			if err := part.Open(wctx); err != nil {
+			err := part.Open(wctx)
+			if err == nil {
+				err = tables[w].fold(wctx, part, o.NoBatch)
+			}
+			if err != nil {
 				errs[w] = err
-				abort.Do(func() { close(quit) })
-				return
-			}
-			if !o.NoBatch && CanBatch(part) && BatchWorthwhile(len(o.GroupKeys), o.GroupOrds, o.Aggs) {
-				// Vectorized worker fold. preScalar is false: an empty
-				// partition must contribute no partial, exactly like
-				// aggregateStream (Open's scalar fallback supplies the
-				// Init+Terminate row when every partition is empty).
-				f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs, false)
-				errs[w] = f.run(wctx, part.(BatchOperator))
-				partials[w], orders[w] = f.table, f.order
-			} else {
-				partials[w], orders[w], errs[w] = o.aggregateStream(wctx, part.Next)
-			}
-			if errs[w] != nil {
-				abort.Do(func() { close(quit) })
+				stop()
 			}
 		}(w, part)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return partials, orders, nil
-}
-
-// runChunked is the materialize-then-split fallback used when the planner
-// could not partition the input subtree: only accumulation parallelizes.
-func (o *ParallelAggOp) runChunked(ctx *Ctx) ([]map[uint64][]*pagGroup, [][]*pagGroup, error) {
-	rows, err := Drain(ctx, o.Child)
-	if err != nil {
-		return nil, nil, err
-	}
-	workers := o.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(rows) && len(rows) > 0 {
-		workers = len(rows)
-	}
-	if len(rows) == 0 {
-		workers = 1
-	}
-	partials := make([]map[uint64][]*pagGroup, workers)
-	orders := make([][]*pagGroup, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wctx, flush := workerCtx(ctx, nil)
-			defer flush()
-			pos := lo
-			partials[w], orders[w], errs[w] = o.aggregateStream(wctx, func(*Ctx) (Row, error) {
-				if pos >= hi {
-					return nil, nil
-				}
-				r := rows[pos]
-				pos++
-				return r, nil
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return partials, orders, nil
-}
-
-// aggregateStream folds rows from next into a fresh group table, preserving
-// first-seen group order.
-func (o *ParallelAggOp) aggregateStream(ctx *Ctx, next func(*Ctx) (Row, error)) (map[uint64][]*pagGroup, []*pagGroup, error) {
-	table := map[uint64][]*pagGroup{}
-	bufs := argBuffers(o.Aggs)
-	var order []*pagGroup
-	n := 0
-	for {
-		row, err := next(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		if row == nil {
-			return table, order, nil
-		}
-		n++
-		if n%1024 == 0 && ctx.Interrupted() {
-			return nil, nil, ErrInterrupted
-		}
-		var keys []sqltypes.Value
-		if len(o.GroupKeys) > 0 {
-			keys = make([]sqltypes.Value, len(o.GroupKeys))
-			for i, k := range o.GroupKeys {
-				v, err := k(ctx, row)
-				if err != nil {
-					return nil, nil, err
-				}
-				keys[i] = v
-			}
-		}
-		h := sqltypes.HashRow(keys)
-		var g *pagGroup
-		for _, cand := range table[h] {
-			if sqltypes.RowsGroupEqual(cand.keys, keys) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &pagGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
-			for i, ai := range o.Aggs {
-				g.aggs[i] = ai.Spec.New()
-				g.aggs[i].Reset()
-			}
-			table[h] = append(table[h], g)
-			order = append(order, g)
-		}
-		for i := range o.Aggs {
-			if err := o.Aggs[i].step(ctx, g.aggs[i], row, bufs[i]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
+	return tables, nil
 }
 
 // Next implements Operator.

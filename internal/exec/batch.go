@@ -1,169 +1,39 @@
 package exec
 
-import "aggify/internal/sqltypes"
+import (
+	"aggify/internal/sqltypes"
+	"aggify/internal/storage"
+)
 
-// This file defines the vectorized half of the operator contract: column-
-// oriented row batches, the optional BatchOperator interface, and the
-// adapter that lets any row-at-a-time operator participate in a batched
-// plan. The executor stays a pull model — a batch consumer calls NextBatch
-// instead of Next and receives ~DefaultBatchSize rows per call — so the
-// per-row costs the paper attributes to cursor-style iteration (interface
-// dispatch, per-row channel sends, per-row closure evaluation) are paid
-// once per batch instead.
+// This file defines the vectorized half of the operator contract: blocks of
+// row references and the optional BatchOperator interface. The executor
+// stays a pull model — a batch consumer calls NextBatch instead of Next and
+// receives ~DefaultBatchSize rows per call — so the per-row costs the paper
+// attributes to cursor-style iteration (interface dispatch, per-row closure
+// evaluation) are paid once per batch instead.
 
 // DefaultBatchSize is the target number of rows per batch. It matches the
 // executor's long-standing interrupt-check stride, so a cancelled query
 // stops within one batch on either execution path.
 const DefaultBatchSize = 1024
 
-// Column is one column of a batch: a value vector plus a null bitmap.
-// NULLs are stored both ways — Vals[i] is the NULL value and bit i is set —
-// so row-oriented consumers can read Vals directly while vectorized
-// aggregates test the bitmap without inspecting each value.
-type Column struct {
-	Vals []sqltypes.Value
-
-	nulls    []uint64
-	hasNulls bool
-}
-
-// Append adds one value to the column, maintaining the null bitmap.
-func (c *Column) Append(v sqltypes.Value) {
-	i := len(c.Vals)
-	c.Vals = append(c.Vals, v)
-	if word := i >> 6; word >= len(c.nulls) {
-		c.nulls = append(c.nulls, 0)
-	}
-	if v.IsNull() {
-		c.nulls[i>>6] |= 1 << (uint(i) & 63)
-		c.hasNulls = true
-	}
-}
-
-// Null reports whether value i is NULL, from the bitmap.
-func (c *Column) Null(i int) bool {
-	if !c.hasNulls {
-		return false
-	}
-	return c.nulls[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// HasNulls reports whether any value in the column is NULL.
-func (c *Column) HasNulls() bool { return c.hasNulls }
-
-// NullCount counts the NULLs in the column via the bitmap.
-func (c *Column) NullCount() int {
-	if !c.hasNulls {
-		return 0
-	}
-	n := 0
-	for i := range c.Vals {
-		if c.nulls[i>>6]&(1<<(uint(i)&63)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *Column) reset() {
-	c.Vals = c.Vals[:0]
-	for i := range c.nulls {
-		c.nulls[i] = 0
-	}
-	c.hasNulls = false
-}
-
-// Batch is a column-oriented block of rows. All columns have the same
-// length. A batch returned by NextBatch is owned by the producer and valid
-// only until the next NextBatch (or Close) call on that operator; consumers
-// that retain rows across calls must copy them out (see Row and Clone).
+// Batch is a block of row references: the same immutable rows the row path
+// hands out, not copies. A producer reuses only the Rows slice across
+// NextBatch calls and never overwrites a row it has referenced, so a
+// consumer may keep any Row it received — exactly as on the row path — but
+// must not keep the Rows slice itself past the next NextBatch (or Close)
+// call on that operator.
 type Batch struct {
-	Cols []Column
-	n    int
-}
-
-// NewBatch returns an empty batch with the given column count.
-func NewBatch(width int) *Batch {
-	return &Batch{Cols: make([]Column, width)}
+	Rows []Row
 }
 
 // Len returns the number of rows in the batch.
-func (b *Batch) Len() int { return b.n }
-
-// Width returns the number of columns.
-func (b *Batch) Width() int { return len(b.Cols) }
-
-// Reset empties the batch, re-shaping it to width columns.
-func (b *Batch) Reset(width int) {
-	if len(b.Cols) != width {
-		b.Cols = make([]Column, width)
-	} else {
-		for i := range b.Cols {
-			b.Cols[i].reset()
-		}
-	}
-	b.n = 0
-}
-
-// AppendRow adds one row across all columns. The row must match the batch
-// width; values are copied, so the caller may reuse the slice.
-func (b *Batch) AppendRow(row Row) {
-	for i := range b.Cols {
-		b.Cols[i].Append(row[i])
-	}
-	b.n++
-}
-
-// Row materializes row i into buf (grown as needed) and returns it. The
-// result aliases buf, not the batch, so it survives batch reuse only as
-// long as buf does.
-func (b *Batch) Row(i int, buf Row) Row {
-	if cap(buf) < len(b.Cols) {
-		buf = make(Row, len(b.Cols))
-	}
-	buf = buf[:len(b.Cols)]
-	for j := range b.Cols {
-		buf[j] = b.Cols[j].Vals[i]
-	}
-	return buf
-}
-
-// Rows materializes every row of the batch into freshly allocated slices
-// backed by one slab — the unpack path for row-oriented consumers above a
-// batched exchange.
-func (b *Batch) Rows() []Row {
-	w := len(b.Cols)
-	slab := make([]sqltypes.Value, b.n*w)
-	out := make([]Row, b.n)
-	for i := 0; i < b.n; i++ {
-		r := slab[i*w : (i+1)*w : (i+1)*w]
-		for j := 0; j < w; j++ {
-			r[j] = b.Cols[j].Vals[i]
-		}
-		out[i] = r
-	}
-	return out
-}
-
-// Clone returns a deep copy the caller owns (used by exchange workers to
-// detach a batch from its producer's reusable buffer before a channel send).
-func (b *Batch) Clone() *Batch {
-	out := &Batch{Cols: make([]Column, len(b.Cols)), n: b.n}
-	for i := range b.Cols {
-		src := &b.Cols[i]
-		dst := &out.Cols[i]
-		dst.Vals = append([]sqltypes.Value(nil), src.Vals...)
-		dst.nulls = append([]uint64(nil), src.nulls...)
-		dst.hasNulls = src.hasNulls
-	}
-	return out
-}
+func (b *Batch) Len() int { return len(b.Rows) }
 
 // BatchOperator is the vectorized extension of Operator. NextBatch returns
-// the next block of rows, or nil at end of stream; the returned batch is
-// reused by the producer across calls. Implementations must check
-// Ctx.Interrupted at every batch boundary — batch consumers bypass Next and
-// its per-row interrupt stride entirely.
+// the next non-empty block of rows, or nil at end of stream.
+// Implementations must check Ctx.Interrupted at every batch boundary —
+// batch consumers bypass Next and its per-row interrupt stride entirely.
 type BatchOperator interface {
 	Operator
 	NextBatch(ctx *Ctx) (*Batch, error)
@@ -177,10 +47,8 @@ type batchCapable interface {
 	BatchCapable() bool
 }
 
-// CanBatch reports whether op produces batches natively, i.e. without a
-// row-at-a-time adapter anywhere beneath it. Consumers use it to pick the
-// vectorized path only when it actually avoids per-row iteration; AdaptBatch
-// remains available for mixed trees that want batch transport regardless.
+// CanBatch reports whether op produces batches natively. Consumers use it
+// to pick the vectorized path only when every operator beneath supports it.
 func CanBatch(op Operator) bool {
 	if bc, ok := op.(batchCapable); ok {
 		return bc.BatchCapable()
@@ -188,79 +56,81 @@ func CanBatch(op Operator) bool {
 	return false
 }
 
-// AdaptBatch lifts any row-at-a-time operator into the batch contract by
-// packing its rows into reusable DefaultBatchSize batches. It is the
-// compatibility shim that keeps every existing operator usable in a batched
-// plan (exchange transport, mixed trees) without modification. Width is
-// taken from the first row.
-type AdaptBatch struct {
-	Child Operator
-
-	batch *Batch
-	first Row
-	eof   bool
+// rowCursor is a streaming storage cursor (storage.Cursor for scans,
+// storage.RangeCursor for range seeks): each Next call hands up to max
+// visible rows to fn and returns how many it handed out.
+type rowCursor interface {
+	Next(stats *storage.Stats, max int, fn func(row []sqltypes.Value)) int
 }
 
-// Open implements Operator.
-func (o *AdaptBatch) Open(ctx *Ctx) error {
-	o.first = nil
-	o.eof = false
-	return o.Child.Open(ctx)
+// rowBuffer is the one refill buffer a streaming leaf serves both Next and
+// NextBatch from. Each refill pulls up to DefaultBatchSize row references
+// off the cursor; Next hands them out one at a time, NextBatch as a batch.
+// Rows are storage's own immutable row slices and are never copied, so the
+// batch contract's "rows may be kept" rule holds by construction.
+type rowBuffer struct {
+	cur  rowCursor // nil: the stream is empty
+	rows []Row
+	pos  int
+	eof  bool
+	out  Batch
 }
 
-// Next implements Operator (pass-through, so the adapter is still usable as
-// a plain row operator).
-func (o *AdaptBatch) Next(ctx *Ctx) (Row, error) { return o.Child.Next(ctx) }
+// open points the buffer at a fresh cursor, keeping the row slice's capacity.
+func (b *rowBuffer) open(cur rowCursor) {
+	b.cur = cur
+	b.rows = b.rows[:0]
+	b.pos = 0
+	b.eof = cur == nil
+}
 
-// NextBatch implements BatchOperator.
-func (o *AdaptBatch) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.eof {
-		return nil, nil
-	}
+// refill replaces the buffered rows with the cursor's next block, marking
+// end of stream when the cursor has none left.
+func (b *rowBuffer) refill(ctx *Ctx) error {
 	if ctx.Interrupted() {
-		return nil, ErrInterrupted
+		return ErrInterrupted
 	}
-	row := o.first
-	o.first = nil
-	if row == nil {
-		var err error
-		if row, err = o.Child.Next(ctx); err != nil {
-			return nil, err
-		}
-		if row == nil {
-			o.eof = true
+	rows := b.rows[:0]
+	b.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
+		rows = append(rows, row)
+	})
+	b.rows = rows
+	b.pos = 0
+	b.eof = len(rows) == 0
+	return nil
+}
+
+func (b *rowBuffer) next(ctx *Ctx) (Row, error) {
+	for b.pos >= len(b.rows) {
+		if b.eof {
 			return nil, nil
 		}
-	}
-	if o.batch == nil {
-		o.batch = NewBatch(len(row))
-	}
-	b := o.batch
-	b.Reset(len(row))
-	b.AppendRow(row)
-	for b.Len() < DefaultBatchSize {
-		r, err := o.Child.Next(ctx)
-		if err != nil {
+		if err := b.refill(ctx); err != nil {
 			return nil, err
 		}
-		if r == nil {
-			o.eof = true
-			break
-		}
-		b.AppendRow(r)
 	}
-	return b, nil
+	r := b.rows[b.pos]
+	b.pos++
+	return r, nil
 }
 
-// Close implements Operator.
-func (o *AdaptBatch) Close() { o.Child.Close() }
-
-// batchOf returns op itself when it is a native batch producer, or an
-// AdaptBatch wrapper otherwise. The result shares op's Open/Close, so use
-// either the wrapper or the wrapped operator for lifecycle calls — not both.
-func batchOf(op Operator) BatchOperator {
-	if CanBatch(op) {
-		return op.(BatchOperator)
+// nextBatch hands out every buffered row not yet returned by next as one
+// batch, refilling first when none are left.
+func (b *rowBuffer) nextBatch(ctx *Ctx) (*Batch, error) {
+	if b.pos >= len(b.rows) {
+		if b.eof {
+			return nil, nil
+		}
+		if err := b.refill(ctx); err != nil || b.eof {
+			return nil, err
+		}
 	}
-	return &AdaptBatch{Child: op}
+	b.out.Rows = b.rows[b.pos:]
+	b.pos = len(b.rows)
+	return &b.out, nil
+}
+
+func (b *rowBuffer) close() {
+	b.cur = nil
+	b.rows = nil
 }

@@ -1,57 +1,15 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 	"aggify/internal/testutil"
 )
-
-func TestColumnNullBitmap(t *testing.T) {
-	var c Column
-	// Cross the 64-bit word boundary so multi-word bitmaps are exercised.
-	for i := 0; i < 200; i++ {
-		if i%3 == 0 {
-			c.Append(sqltypes.Null)
-		} else {
-			c.Append(sqltypes.NewInt(int64(i)))
-		}
-	}
-	if !c.HasNulls() {
-		t.Fatal("HasNulls = false")
-	}
-	want := 0
-	for i := 0; i < 200; i++ {
-		isNull := i%3 == 0
-		if isNull {
-			want++
-		}
-		if c.Null(i) != isNull {
-			t.Fatalf("Null(%d) = %v, want %v", i, c.Null(i), isNull)
-		}
-	}
-	if got := c.NullCount(); got != want {
-		t.Fatalf("NullCount = %d, want %d", got, want)
-	}
-
-	var noNulls Column
-	noNulls.Append(sqltypes.NewInt(1))
-	if noNulls.HasNulls() || noNulls.Null(0) || noNulls.NullCount() != 0 {
-		t.Fatal("phantom nulls in all-non-null column")
-	}
-}
-
-func TestBatchResetClearsBitmap(t *testing.T) {
-	b := NewBatch(1)
-	b.AppendRow(Row{sqltypes.Null})
-	b.Reset(1)
-	b.AppendRow(Row{sqltypes.NewInt(7)})
-	if b.Cols[0].HasNulls() || b.Cols[0].Null(0) {
-		t.Fatal("null bitmap survived Reset")
-	}
-}
 
 // mkAggs builds count(*)+count(v)+sum(v)+avg(v)+min(v)+max(v) instances over
 // column ord, with ArgOrds resolved so the batch fold vectorizes.
@@ -118,70 +76,35 @@ func TestHashAggBatchMatchesRow(t *testing.T) {
 	}
 }
 
-// TestHashAggBatchAllNulls pins bitmap correctness where it matters most: an
+// TestHashAggBatchAllNulls pins NULL handling on both paths: over an
 // aggregated column that is entirely NULL (count skips all, sum/min/max/avg
-// return NULL) on both paths.
+// return NULL) and over one that is NULL every 5th row (count(v) skips
+// exactly those rows).
 func TestHashAggBatchAllNulls(t *testing.T) {
-	tab := aggTable(t, 2000, true)
-	for _, noBatch := range []bool{false, true} {
-		op := &HashAggOp{Child: &ScanOp{Table: tab}, Aggs: mkAggs(1), NoBatch: noBatch}
-		out, err := Drain(&Ctx{Stats: &storage.Stats{}}, op)
-		if err != nil || len(out) != 1 {
-			t.Fatalf("noBatch=%v: %v %d", noBatch, err, len(out))
-		}
-		r := out[0]
-		if r[0].Int() != 2000 { // count(*)
-			t.Fatalf("noBatch=%v: count(*) = %v", noBatch, r[0])
-		}
-		if r[1].Int() != 0 { // count(v) skips NULLs
-			t.Fatalf("noBatch=%v: count(v) = %v", noBatch, r[1])
-		}
-		for i := 2; i < 6; i++ { // sum/avg/min/max over all-NULL
-			if !r[i].IsNull() {
-				t.Fatalf("noBatch=%v: agg %d = %v, want NULL", noBatch, i, r[i])
+	for _, tc := range []struct {
+		allNull   bool
+		wantCount int64
+	}{{true, 0}, {false, 1600}} {
+		tab := aggTable(t, 2000, tc.allNull)
+		for _, noBatch := range []bool{false, true} {
+			op := &HashAggOp{Child: &ScanOp{Table: tab}, Aggs: mkAggs(1), NoBatch: noBatch}
+			out, err := Drain(&Ctx{Stats: &storage.Stats{}}, op)
+			if err != nil || len(out) != 1 {
+				t.Fatalf("allNull=%v noBatch=%v: %v %d", tc.allNull, noBatch, err, len(out))
+			}
+			r := out[0]
+			if r[0].Int() != 2000 { // count(*)
+				t.Fatalf("allNull=%v noBatch=%v: count(*) = %v", tc.allNull, noBatch, r[0])
+			}
+			if r[1].Int() != tc.wantCount { // count(v) skips NULLs
+				t.Fatalf("allNull=%v noBatch=%v: count(v) = %v, want %d", tc.allNull, noBatch, r[1], tc.wantCount)
+			}
+			for i := 2; i < 6; i++ { // sum/avg/min/max: NULL only over all-NULL
+				if r[i].IsNull() != tc.allNull {
+					t.Fatalf("allNull=%v noBatch=%v: agg %d = %v", tc.allNull, noBatch, i, r[i])
+				}
 			}
 		}
-	}
-}
-
-// TestAdaptBatch checks the row→batch adapter on empty input and on a row
-// count that is an exact multiple of the batch size (the boundary where an
-// off-by-one would emit a phantom empty batch or drop the last one).
-func TestAdaptBatch(t *testing.T) {
-	ad := &AdaptBatch{Child: bufferOf()}
-	if err := ad.Open(&Ctx{}); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := ad.NextBatch(&Ctx{}); err != nil || b != nil {
-		t.Fatalf("empty input: batch=%v err=%v", b, err)
-	}
-	ad.Close()
-
-	ad = &AdaptBatch{Child: &BufferScanOp{Rows: seqRows(0, 2*DefaultBatchSize)}}
-	if err := ad.Open(&Ctx{}); err != nil {
-		t.Fatal(err)
-	}
-	var sizes []int
-	total := int64(0)
-	for {
-		b, err := ad.NextBatch(&Ctx{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		sizes = append(sizes, b.Len())
-		for i := 0; i < b.Len(); i++ {
-			if b.Cols[0].Vals[i].Int() != total {
-				t.Fatalf("row %d out of order: %v", total, b.Cols[0].Vals[i])
-			}
-			total++
-		}
-	}
-	ad.Close()
-	if total != 2*DefaultBatchSize || len(sizes) != 2 || sizes[0] != DefaultBatchSize || sizes[1] != DefaultBatchSize {
-		t.Fatalf("total=%d sizes=%v", total, sizes)
 	}
 }
 
@@ -224,7 +147,7 @@ func TestScanBufferedRowsBounded(t *testing.T) {
 // checks Interrupted at every batch boundary stops.
 type interruptingBatchOp struct {
 	interrupt chan struct{}
-	batch     *Batch
+	batch     Batch
 	served    int
 }
 
@@ -233,17 +156,14 @@ func (o *interruptingBatchOp) Next(*Ctx) (Row, error) {
 	return nil, errors.New("row path must not be used")
 }
 func (o *interruptingBatchOp) NextBatch(*Ctx) (*Batch, error) {
-	if o.batch == nil {
-		o.batch = NewBatch(1)
-		for i := 0; i < DefaultBatchSize; i++ {
-			o.batch.AppendRow(Row{sqltypes.NewInt(int64(i))})
-		}
+	if o.batch.Rows == nil {
+		o.batch.Rows = seqRows(0, DefaultBatchSize)
 	}
 	o.served++
 	if o.served == 1 {
 		close(o.interrupt)
 	}
-	return o.batch, nil
+	return &o.batch, nil
 }
 func (o *interruptingBatchOp) BatchCapable() bool { return true }
 func (o *interruptingBatchOp) Close()             {}
@@ -280,7 +200,6 @@ func TestParallelAggBatchWorkers(t *testing.T) {
 		GroupKeys: []Scalar{ColScalar(0)},
 		GroupOrds: []int{0},
 		Aggs:      mkAggs(1),
-		Workers:   4,
 	}
 	serial := &HashAggOp{
 		Child:     &ScanOp{Table: tab},
@@ -306,113 +225,145 @@ func TestParallelAggBatchWorkers(t *testing.T) {
 	}
 }
 
-// TestExchangeBatchTransport pulls whole batches through an ordered exchange
-// over streaming scan partitions and checks serial order is reproduced.
-func TestExchangeBatchTransport(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	tab := storage.NewTable("t", storage.NewSchema(storage.Col("n", sqltypes.Int)))
-	const n = 5000
-	for i := int64(0); i < n; i++ {
-		_ = tab.Insert(nil, intRow(i))
-	}
-	split := &ScanSplit{Table: tab, NParts: 3}
-	ex := &ExchangeOp{
-		Parts: []Operator{
-			&ParallelScanOp{Split: split, Part: 0},
-			&ParallelScanOp{Split: split, Part: 1},
-			&ParallelScanOp{Split: split, Part: 2},
-		},
-		Ordered: true,
-	}
-	ctx := &Ctx{Stats: &storage.Stats{}}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	if !CanBatch(ex) {
-		t.Fatal("exchange should be batch-capable")
-	}
-	var next int64
-	for {
-		b, err := ex.NextBatch(ctx)
-		if err != nil {
+// contractTable builds a table longer than two batches with NULLs in it:
+// id is unique (ordered index), g = id%2 (hash index, so one key matches
+// more than a batch of rows), v is NULL every 7th row, s is a string.
+func contractTable(t *testing.T) *storage.Table {
+	t.Helper()
+	tab := storage.NewTable("c", storage.NewSchema(
+		storage.Col("id", sqltypes.Int), storage.Col("g", sqltypes.Int),
+		storage.Col("v", sqltypes.Int), storage.Col("s", sqltypes.VarChar(16))))
+	for i := int64(0); i < 2*DefaultBatchSize+700; i++ {
+		v := sqltypes.NewInt(i * 3)
+		if i%7 == 0 {
+			v = sqltypes.Null
+		}
+		row := []sqltypes.Value{sqltypes.NewInt(i), sqltypes.NewInt(i % 2), v, sqltypes.NewString(fmt.Sprint("s", i))}
+		if err := tab.Insert(nil, row); err != nil {
 			t.Fatal(err)
 		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			if got := b.Cols[0].Vals[i].Int(); got != next {
-				t.Fatalf("row %d: got %d (order not serial)", next, got)
-			}
-			next++
-		}
 	}
-	if next != n {
-		t.Fatalf("drained %d rows, want %d", next, n)
+	if err := tab.CreateIndex("g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CreateOrderedIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestBatchContract pins the batch ownership rule for every batch producer:
+// a consumer may keep the rows of every NextBatch call without copying
+// them, and after EOF the kept rows equal what Next delivers, byte for byte.
+func TestBatchContract(t *testing.T) {
+	tab := contractTable(t)
+	vNotNull := func(_ *Ctx, r Row) (sqltypes.Value, error) { return sqltypes.NewBool(!r[2].IsNull()), nil }
+	plusOne := func(_ *Ctx, r Row) (sqltypes.Value, error) {
+		return sqltypes.Apply(sqltypes.OpAdd, r[2], sqltypes.NewInt(1))
+	}
+	split := func() *ScanSplit { return &ScanSplit{Table: tab, NParts: 2} }
+	temp := func(name string) (*storage.Table, bool) { return tab, name == "#c" }
+	producers := map[string]func() Operator{
+		"Scan":         func() Operator { return &ScanOp{Table: tab} },
+		"IndexSeek":    func() Operator { return &IndexSeekOp{Table: tab, Column: "g", Key: ConstScalar(sqltypes.NewInt(1))} },
+		"RangeSeek":    func() Operator { return &RangeSeekOp{Table: tab, Column: "id", Lo: ConstScalar(sqltypes.NewInt(100))} },
+		"LateScan":     func() Operator { return &LateScanOp{Name: "#c"} },
+		"ParallelScan": func() Operator { return &ParallelScanOp{Split: split(), Part: 1} },
+		"Filter":       func() Operator { return &FilterOp{Child: &ScanOp{Table: tab}, Pred: vNotNull} },
+		"Project": func() Operator {
+			return &ProjectOp{Child: &ScanOp{Table: tab}, Exprs: []Scalar{plusOne, ColScalar(3), ColScalar(2)}}
+		},
+		"Project/Filter/IndexSeek": func() Operator {
+			seek := &IndexSeekOp{Table: tab, Column: "g", Key: ConstScalar(sqltypes.NewInt(0))}
+			return &ProjectOp{Child: &FilterOp{Child: seek, Pred: vNotNull}, Exprs: []Scalar{plusOne, ColScalar(0)}}
+		},
+	}
+	encode := func(rows []Row) []byte {
+		var buf []byte
+		for _, r := range rows {
+			buf = storage.AppendRow(buf, r)
+		}
+		return buf
+	}
+	for name, mk := range producers {
+		ctx := &Ctx{Stats: &storage.Stats{}, Temp: temp}
+		op := mk()
+		if !CanBatch(op) {
+			t.Fatalf("%s: not batch-capable", name)
+		}
+		if err := op.Open(ctx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var kept []Row
+		batches := 0
+		for {
+			b, err := op.(BatchOperator).NextBatch(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if b == nil {
+				break
+			}
+			batches++
+			kept = append(kept, b.Rows...)
+		}
+		op.Close()
+		want, err := Drain(ctx, mk())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if batches < 2 {
+			t.Fatalf("%s: %d batches, want several", name, batches)
+		}
+		if len(kept) != len(want) || !bytes.Equal(encode(kept), encode(want)) {
+			t.Fatalf("%s: %d kept batch rows differ from %d Next rows", name, len(kept), len(want))
+		}
 	}
 }
 
-// TestExchangeEarlyCloseMidBatch closes the consumer after a handful of rows
-// — mid-batch, with workers still producing — and requires zero leaked
-// goroutines (the early-Rows.Close path on the batched transport).
-func TestExchangeEarlyCloseMidBatch(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	ex := &ExchangeOp{
-		Parts: []Operator{
-			&BufferScanOp{Rows: seqRows(0, 100_000)},
-			&BufferScanOp{Rows: seqRows(100_000, 200_000)},
-		},
-		Ordered: true,
-		Buffer:  1,
-	}
-	ctx := &Ctx{Stats: &storage.Stats{}}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ex.Next(ctx); err != nil {
-			t.Fatal(err)
+// TestBatchAllocsIndependentOfWidth builds a fresh count(*) → Filter →
+// IndexSeek tree per execution, as Plan.Build does per statement, over a
+// 2-column and a 16-column table holding the same matching rows. Batches
+// reference rows instead of copying their values, so allocations per
+// execution must not depend on the row width.
+func TestBatchAllocsIndependentOfWidth(t *testing.T) {
+	allocs := func(width int) float64 {
+		cols := make([]storage.Column, width)
+		for i := range cols {
+			cols[i] = storage.Col(fmt.Sprint("c", i), sqltypes.Int)
 		}
-	}
-	ex.Close()
-}
-
-// TestBatchOfMixedTree checks batchOf: a native producer passes through
-// unwrapped; a row-only operator is adapted, and both deliver the same rows.
-func TestBatchOfMixedTree(t *testing.T) {
-	tab := aggTable(t, 100, false)
-	scan := &ScanOp{Table: tab}
-	if bo := batchOf(scan); bo != Operator(scan) {
-		t.Fatal("native producer should pass through batchOf unwrapped")
-	}
-	rows := seqRows(0, 100)
-	adapted := batchOf(&BufferScanOp{Rows: rows})
-	if _, isAdapter := adapted.(*AdaptBatch); !isAdapter {
-		t.Fatal("row-only operator should be wrapped in AdaptBatch")
-	}
-	ctx := &Ctx{}
-	if err := adapted.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer adapted.Close()
-	var got int64
-	for {
-		b, err := adapted.NextBatch(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows() {
-			if r[0].Int() != got {
-				t.Fatalf("row %d: %v", got, r)
+		tab := storage.NewTable("w", storage.NewSchema(cols...))
+		for i := int64(0); i < 3000; i++ {
+			row := make([]sqltypes.Value, width)
+			for j := range row {
+				row[j] = sqltypes.NewInt(i + int64(j))
 			}
-			got++
+			row[0] = sqltypes.NewInt(i % 2)
+			if err := tab.Insert(nil, row); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if err := tab.CreateIndex("c0"); err != nil {
+			t.Fatal(err)
+		}
+		half := func(_ *Ctx, r Row) (sqltypes.Value, error) { return sqltypes.NewBool(r[1].Int()%4 != 0), nil }
+		ctx := &Ctx{Stats: &storage.Stats{}}
+		return testing.AllocsPerRun(20, func() {
+			op := &HashAggOp{
+				Child: &FilterOp{
+					Child: &IndexSeekOp{Table: tab, Column: "c0", Key: ConstScalar(sqltypes.NewInt(1))},
+					Pred:  half,
+				},
+				Aggs: []AggInstance{{Spec: BuiltinAggs()["count"], Star: true}},
+			}
+			rows, err := Drain(ctx, op)
+			if err != nil || len(rows) != 1 || rows[0][0].Int() != 750 {
+				t.Fatalf("width %d: rows=%v err=%v", width, rows, err)
+			}
+		})
 	}
-	if got != 100 {
-		t.Fatalf("drained %d rows, want 100", got)
+	narrow, wide := allocs(2), allocs(16)
+	if narrow != wide {
+		t.Fatalf("allocations per execution: %v over 2 columns, %v over 16; want equal", narrow, wide)
 	}
 }

@@ -32,7 +32,7 @@ type Ctx struct {
 	// Snap is the snapshot all base-table reads go through: the statement
 	// or transaction's pinned commit epoch. Nil reads the latest committed
 	// state. Worker contexts copy the Ctx by value, so parallel scan
-	// partitions and exchange workers inherit the same frozen epoch.
+	// partitions inherit the same frozen epoch.
 	Snap *txn.Snapshot
 	// CallFunc invokes a scalar function (built-in or UDF) by name.
 	CallFunc func(name string, args []sqltypes.Value) (sqltypes.Value, error)
@@ -45,9 +45,9 @@ type Ctx struct {
 	// "forcibly terminated" original-program runs).
 	Interrupt <-chan struct{}
 	// Done, when non-nil, cancels this (sub)execution when closed. It is
-	// the prompt-cancellation path for parallel plans: exchange operators
-	// install their quit channel here for worker subtrees, so an early
-	// consumer Close (TopOp hitting its limit, Rows.Close) unblocks
+	// the prompt-cancellation path for parallel plans: ParallelAggOp
+	// installs its quit channel here for worker subtrees, so a failing
+	// worker or a parent-level cancellation (Rows.Close) stops the other
 	// workers mid-scan instead of letting them run to completion.
 	Done <-chan struct{}
 	// Owner carries the engine session that built this context; interpreted

@@ -295,22 +295,20 @@ func TestStreamAgg(t *testing.T) {
 	}
 }
 
+// catAgg is an order-sensitive aggregate: it concatenates its inputs.
+type catAgg struct{ s string }
+
+func (a *catAgg) Reset() { a.s = "" }
+func (a *catAgg) Step(_ *Ctx, args []sqltypes.Value) error {
+	a.s += args[0].Display()
+	return nil
+}
+func (a *catAgg) Result(*Ctx) (sqltypes.Value, error) { return sqltypes.NewString(a.s), nil }
+func (a *catAgg) Merge(Aggregator) error              { return nil }
+
 func TestStreamAggObservesOrder(t *testing.T) {
 	// An order-sensitive aggregate: concatenates its inputs.
-	spec := &AggSpec{
-		Name:           "cat",
-		OrderSensitive: true,
-		New: func() Aggregator {
-			var s string
-			return &FuncAggregator{
-				InitFn: func() { s = "" },
-				StepFn: func(_ *Ctx, args []sqltypes.Value) error { s += args[0].Display(); return nil },
-				FinalFn: func(*Ctx) (sqltypes.Value, error) {
-					return sqltypes.NewString(s), nil
-				},
-			}
-		},
-	}
+	spec := &AggSpec{Name: "cat", OrderSensitive: true, New: func() Aggregator { return &catAgg{} }}
 	input := bufferOf(intRow(3), intRow(1), intRow(2))
 	op := &StreamAggOp{Child: input, Aggs: []AggInstance{{Spec: spec, Args: []Scalar{ColScalar(0)}}}}
 	rows := drain(t, op)
@@ -341,7 +339,12 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 		}
 	}
 	serial := &HashAggOp{Child: &BufferScanOp{Rows: rows}, GroupKeys: []Scalar{ColScalar(0)}, Aggs: mk()}
-	parallel := &ParallelAggOp{Child: &BufferScanOp{Rows: rows}, GroupKeys: []Scalar{ColScalar(0)}, Aggs: mk(), Workers: 4}
+	// Row-only partitions: workers take the row entry of the group table.
+	parts := []Operator{
+		&BufferScanOp{Rows: rows[:250]}, &BufferScanOp{Rows: rows[250:500]},
+		&BufferScanOp{Rows: rows[500:750]}, &BufferScanOp{Rows: rows[750:]},
+	}
+	parallel := &ParallelAggOp{Parts: parts, GroupKeys: []Scalar{ColScalar(0)}, Aggs: mk()}
 	sr := drain(t, serial)
 	pr := drain(t, parallel)
 	if len(sr) != len(pr) {
@@ -370,14 +373,16 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelAggEmptyScalar: when every partition is empty no worker
+// contributes a partial, and the scalar aggregate still yields its one
+// Init + Terminate row.
 func TestParallelAggEmptyScalar(t *testing.T) {
 	op := &ParallelAggOp{
-		Child:   bufferOf(),
-		Aggs:    []AggInstance{{Spec: builtinAgg(t, "count"), Star: true}},
-		Workers: 4,
+		Parts: []Operator{bufferOf(), bufferOf(), bufferOf(), bufferOf()},
+		Aggs:  []AggInstance{{Spec: builtinAgg(t, "count"), Star: true}, {Spec: builtinAgg(t, "sum"), Args: []Scalar{ColScalar(0)}}},
 	}
 	rows := drain(t, op)
-	if len(rows) != 1 || rows[0][0].Int() != 0 {
+	if len(rows) != 1 || rows[0][0].Int() != 0 || !rows[0][1].IsNull() {
 		t.Fatalf("parallel empty scalar agg = %v", rows)
 	}
 }
@@ -424,11 +429,6 @@ func TestMergeMismatch(t *testing.T) {
 	if err := c.Merge(s); err == nil {
 		t.Fatal("mismatched merge must error")
 	}
-	f := &FuncAggregator{StepFn: func(*Ctx, []sqltypes.Value) error { return nil },
-		FinalFn: func(*Ctx) (sqltypes.Value, error) { return sqltypes.Null, nil }}
-	if err := f.Merge(c); err == nil {
-		t.Fatal("FuncAggregator without MergeFn must reject Merge")
-	}
 }
 
 func TestInterrupt(t *testing.T) {
@@ -445,15 +445,7 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
-func TestValuesAndOneRow(t *testing.T) {
-	vals := &ValuesOp{Rows: [][]Scalar{
-		{ConstScalar(sqltypes.NewInt(1)), ConstScalar(sqltypes.NewString("a"))},
-		{ConstScalar(sqltypes.NewInt(2)), ConstScalar(sqltypes.NewString("b"))},
-	}}
-	rows := drain(t, vals)
-	if len(rows) != 2 || rows[1][1].Str() != "b" {
-		t.Fatalf("values = %v", rows)
-	}
+func TestOneRow(t *testing.T) {
 	one := drain(t, &OneRowOp{})
 	if len(one) != 1 || len(one[0]) != 0 {
 		t.Fatalf("one-row = %v", one)

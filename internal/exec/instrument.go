@@ -11,9 +11,9 @@ import (
 // measurements are inclusive of the operator's subtree: the renderer
 // subtracts child stats to attribute exclusive costs.
 //
-// All counters are atomic: a parallel plan instantiates the subtree below an
-// exchange once per worker, and every instance shares the OpStats keyed by
-// the (single) explain node, so workers update the same counters
+// All counters are atomic: a parallel plan instantiates the subtree below a
+// ParallelAggOp once per worker, and every instance shares the OpStats keyed
+// by the (single) explain node, so workers update the same counters
 // concurrently. Loops then counts the per-worker Opens and Time sums worker
 // wall clock — it may exceed the query's elapsed time, like CPU time does.
 type OpStats struct {

@@ -11,37 +11,6 @@ import (
 
 // ----- Leaf operators -----
 
-// ValuesOp emits a fixed list of rows, each produced by evaluating scalars
-// (so VALUES may reference variables and parameters).
-type ValuesOp struct {
-	Rows [][]Scalar
-	pos  int
-}
-
-// Open implements Operator.
-func (o *ValuesOp) Open(*Ctx) error { o.pos = 0; return nil }
-
-// Next implements Operator.
-func (o *ValuesOp) Next(ctx *Ctx) (Row, error) {
-	if o.pos >= len(o.Rows) {
-		return nil, nil
-	}
-	scalars := o.Rows[o.pos]
-	o.pos++
-	row := make(Row, len(scalars))
-	for i, s := range scalars {
-		v, err := s(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// Close implements Operator.
-func (o *ValuesOp) Close() {}
-
 // OneRowOp emits a single empty row; it feeds projections with no FROM
 // clause (SELECT 1 + 2).
 type OneRowOp struct {
@@ -72,78 +41,30 @@ func (o *OneRowOp) Close() {}
 type ScanOp struct {
 	Table *storage.Table
 
-	cur   *storage.Cursor
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	buf rowBuffer
 }
 
 // Open implements Operator.
 func (o *ScanOp) Open(ctx *Ctx) error {
-	o.cur = o.Table.NewCursor(ctx.Snap)
-	o.buf = o.buf[:0]
-	o.pos = 0
-	o.eof = false
+	o.buf.open(o.Table.NewCursor(ctx.Snap))
 	return nil
 }
 
 // BufferedRows reports the rows currently buffered (at most one batch) —
 // the regression guard for the old materialize-everything-at-Open behavior.
-func (o *ScanOp) BufferedRows() int { return len(o.buf) }
+func (o *ScanOp) BufferedRows() int { return len(o.buf.rows) }
 
 // Next implements Operator.
-func (o *ScanOp) Next(ctx *Ctx) (Row, error) {
-	for o.pos >= len(o.buf) {
-		if o.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		o.buf = o.buf[:0]
-		o.pos = 0
-		if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-			o.buf = append(o.buf, row)
-		}) == 0 {
-			o.eof = true
-		}
-	}
-	r := o.buf[o.pos]
-	o.pos++
-	return r, nil
-}
+func (o *ScanOp) Next(ctx *Ctx) (Row, error) { return o.buf.next(ctx) }
 
-// NextBatch implements BatchOperator, filling a columnar batch straight
-// from the storage cursor.
-func (o *ScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.eof {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-		b.AppendRow(row)
-	})
-	if b.Len() == 0 {
-		o.eof = true
-		return nil, nil
-	}
-	return b, nil
-}
+// NextBatch implements BatchOperator.
+func (o *ScanOp) NextBatch(ctx *Ctx) (*Batch, error) { return o.buf.nextBatch(ctx) }
 
 // BatchCapable implements the batch contract: scans produce batches natively.
 func (o *ScanOp) BatchCapable() bool { return true }
 
 // Close implements Operator.
-func (o *ScanOp) Close() { o.cur = nil; o.buf = nil }
+func (o *ScanOp) Close() { o.buf.close() }
 
 // IndexSeekOp returns the rows of Table whose Column equals the key scalar,
 // which is evaluated at Open (it may reference variables or outer rows).
@@ -152,9 +73,9 @@ type IndexSeekOp struct {
 	Column string
 	Key    Scalar
 
-	rows  [][]sqltypes.Value
-	pos   int
-	batch *Batch
+	rows []Row
+	pos  int
+	out  Batch
 }
 
 // Open implements Operator.
@@ -187,8 +108,9 @@ func (o *IndexSeekOp) Next(*Ctx) (Row, error) {
 	return r, nil
 }
 
-// NextBatch implements BatchOperator over the matched rows (index matches
-// are bounded by key selectivity, so they stay materialized at Open).
+// NextBatch implements BatchOperator, handing out windows of up to
+// DefaultBatchSize matched rows (index matches are bounded by key
+// selectivity, so they stay materialized at Open) without copying them.
 func (o *IndexSeekOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if o.pos >= len(o.rows) {
 		return nil, nil
@@ -196,17 +118,10 @@ func (o *IndexSeekOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	if ctx.Interrupted() {
 		return nil, ErrInterrupted
 	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	for o.pos < len(o.rows) && b.Len() < DefaultBatchSize {
-		b.AppendRow(o.rows[o.pos])
-		o.pos++
-	}
-	return b, nil
+	end := min(o.pos+DefaultBatchSize, len(o.rows))
+	o.out.Rows = o.rows[o.pos:end]
+	o.pos = end
+	return &o.out, nil
 }
 
 // BatchCapable implements the batch contract.
@@ -228,22 +143,14 @@ type RangeSeekOp struct {
 	LoStrict bool
 	HiStrict bool
 
-	cur   *storage.RangeCursor
-	empty bool
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	buf rowBuffer
 }
 
 // Open implements Operator, evaluating the bound scalars (they may
-// reference variables or outer rows) and opening the range cursor.
+// reference variables or outer rows) and opening the range cursor. A NULL
+// bound leaves the buffer without a cursor: an empty stream.
 func (o *RangeSeekOp) Open(ctx *Ctx) error {
-	o.cur = nil
-	o.empty = false
-	o.buf = o.buf[:0]
-	o.pos = 0
-	o.eof = false
+	o.buf.open(nil)
 	lo, hi := sqltypes.Null, sqltypes.Null
 	if o.Lo != nil {
 		v, err := o.Lo(ctx, nil)
@@ -251,7 +158,6 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 			return err
 		}
 		if v.IsNull() {
-			o.empty = true
 			return nil
 		}
 		lo = v
@@ -262,7 +168,6 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 			return err
 		}
 		if v.IsNull() {
-			o.empty = true
 			return nil
 		}
 		hi = v
@@ -271,68 +176,24 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("exec: no ordered index on %s(%s)", o.Table.Name, o.Column)
 	}
-	o.cur = cur
+	o.buf.open(cur)
 	return nil
 }
 
 // BufferedRows reports the rows currently buffered (at most one batch).
-func (o *RangeSeekOp) BufferedRows() int { return len(o.buf) }
+func (o *RangeSeekOp) BufferedRows() int { return len(o.buf.rows) }
 
 // Next implements Operator.
-func (o *RangeSeekOp) Next(ctx *Ctx) (Row, error) {
-	if o.empty {
-		return nil, nil
-	}
-	for o.pos >= len(o.buf) {
-		if o.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		o.buf = o.buf[:0]
-		o.pos = 0
-		if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-			o.buf = append(o.buf, row)
-		}) == 0 {
-			o.eof = true
-		}
-	}
-	r := o.buf[o.pos]
-	o.pos++
-	return r, nil
-}
+func (o *RangeSeekOp) Next(ctx *Ctx) (Row, error) { return o.buf.next(ctx) }
 
-// NextBatch implements BatchOperator, filling a columnar batch straight
-// from the range cursor.
-func (o *RangeSeekOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.empty || o.eof {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-		b.AppendRow(row)
-	})
-	if b.Len() == 0 {
-		o.eof = true
-		return nil, nil
-	}
-	return b, nil
-}
+// NextBatch implements BatchOperator.
+func (o *RangeSeekOp) NextBatch(ctx *Ctx) (*Batch, error) { return o.buf.nextBatch(ctx) }
 
 // BatchCapable implements the batch contract.
 func (o *RangeSeekOp) BatchCapable() bool { return true }
 
 // Close implements Operator.
-func (o *RangeSeekOp) Close() { o.cur = nil; o.buf = nil }
+func (o *RangeSeekOp) Close() { o.buf.close() }
 
 // LateScanOp scans a table variable or temp table resolved from the
 // context at Open time. Plans over such tables are cached across procedure
@@ -420,8 +281,7 @@ type FilterOp struct {
 	Child Operator
 	Pred  Scalar
 
-	out     *Batch
-	scratch Row
+	out Batch
 }
 
 // Open implements Operator.
@@ -444,8 +304,8 @@ func (o *FilterOp) Next(ctx *Ctx) (Row, error) {
 	}
 }
 
-// NextBatch implements BatchOperator: the predicate is evaluated per row on
-// a scratch view of the child batch, and qualifying rows are gathered into
+// NextBatch implements BatchOperator: the predicate is evaluated per row of
+// the child batch, and references to the qualifying rows are gathered into
 // the output batch. Qualifier-free stretches still advance a whole batch
 // per child pull, so the per-row interrupt stride is preserved by the
 // producers beneath.
@@ -453,29 +313,21 @@ func (o *FilterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	src := o.Child.(BatchOperator)
 	for {
 		in, err := src.NextBatch(ctx)
-		if err != nil {
+		if err != nil || in == nil {
 			return nil, err
 		}
-		if in == nil {
-			return nil, nil
-		}
-		if o.out == nil {
-			o.out = NewBatch(in.Width())
-		}
-		out := o.out
-		out.Reset(in.Width())
-		for i := 0; i < in.Len(); i++ {
-			o.scratch = in.Row(i, o.scratch)
-			v, err := o.Pred(ctx, o.scratch)
+		o.out.Rows = o.out.Rows[:0]
+		for _, r := range in.Rows {
+			v, err := o.Pred(ctx, r)
 			if err != nil {
 				return nil, err
 			}
 			if v.Truthy() {
-				out.AppendRow(o.scratch)
+				o.out.Rows = append(o.out.Rows, r)
 			}
 		}
-		if out.Len() > 0 {
-			return out, nil
+		if len(o.out.Rows) > 0 {
+			return &o.out, nil
 		}
 	}
 }
@@ -492,8 +344,7 @@ type ProjectOp struct {
 	Child Operator
 	Exprs []Scalar
 
-	out     *Batch
-	scratch Row
+	out Batch
 }
 
 // Open implements Operator.
@@ -514,31 +365,27 @@ func (o *ProjectOp) Next(ctx *Ctx) (Row, error) {
 	return out, nil
 }
 
-// NextBatch implements BatchOperator, evaluating the projection over a
-// scratch view of each input row into the output batch.
+// NextBatch implements BatchOperator, evaluating the projection of each
+// input row into one fresh slab per batch. The slab is never reused, so
+// consumers may keep the output rows like any other batch rows.
 func (o *ProjectOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	src := o.Child.(BatchOperator)
-	in, err := src.NextBatch(ctx)
+	in, err := o.Child.(BatchOperator).NextBatch(ctx)
 	if err != nil || in == nil {
 		return nil, err
 	}
-	if o.out == nil {
-		o.out = NewBatch(len(o.Exprs))
-	}
-	out := o.out
-	out.Reset(len(o.Exprs))
-	for i := 0; i < in.Len(); i++ {
-		o.scratch = in.Row(i, o.scratch)
+	w := len(o.Exprs)
+	slab := make([]sqltypes.Value, len(in.Rows)*w)
+	o.out.Rows = o.out.Rows[:0]
+	for i, r := range in.Rows {
+		out := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, s := range o.Exprs {
-			v, err := s(ctx, o.scratch)
-			if err != nil {
+			if out[j], err = s(ctx, r); err != nil {
 				return nil, err
 			}
-			out.Cols[j].Append(v)
 		}
-		out.n++
+		o.out.Rows = append(o.out.Rows, out)
 	}
-	return out, nil
+	return &o.out, nil
 }
 
 // BatchCapable reports the child's capability: a projection is a

@@ -880,7 +880,7 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 					wbc.part = &scanPart{split: split, index: i, target: target}
 					parts[i] = input(&wbc)
 				}
-				return &exec.ParallelAggOp{Parts: parts, GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, Workers: workers, NoBatch: c.opts.DisableBatch}
+				return &exec.ParallelAggOp{Parts: parts, GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
 			}
 			label = fmt.Sprintf("ParallelAgg(workers=%d, keys=%d, aggs=[%s])", workers, len(q.GroupBy), argList)
 			scanLeaf.Op = fmt.Sprintf("ParallelScan(%s, parts=%d)", tab.Name, workers)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -212,5 +213,44 @@ func TestServerMetricsOverSocket(t *testing.T) {
 	inproc := client.Connect(eng, wire.LAN)
 	if _, err := inproc.ServerMetrics(); err == nil {
 		t.Error("in-process ServerMetrics must error")
+	}
+}
+
+// TestOversizedArityFrameRejected sends an 8-byte MsgQuery body whose
+// parameter row claims 2^42 values. The decoder must reject the count
+// before allocating for it: the connection gets a protocol error, and the
+// server keeps serving other connections.
+func TestOversizedArityFrameRejected(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<42)
+	if len(body) != 8 {
+		t.Fatalf("hostile body is %d bytes, want 8", len(body))
+	}
+	typ, resp := rawRoundTrip(t, c, wire.MsgQuery, body)
+	if typ != wire.MsgError || !strings.Contains(string(resp), "exceeds") {
+		t.Fatalf("hostile query: type=0x%02x body=%q, want an arity error", byte(typ), resp)
+	}
+
+	conn, err := client.Dial(addr, wire.LAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stmt, err := conn.Prepare("select 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := stmt.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if !rs.Next() || rs.Row()[0].Int() != 1 {
+		t.Fatalf("select 1 on a second connection: err=%v", rs.Err())
 	}
 }

@@ -98,6 +98,9 @@ func DecodeValue(buf []byte) (sqltypes.Value, []byte, error) {
 			return sqltypes.Null, nil, fmt.Errorf("storage: bad tuple arity")
 		}
 		buf = buf[w:]
+		if n > uint64(len(buf)) {
+			return sqltypes.Null, nil, fmt.Errorf("storage: tuple arity %d exceeds %d remaining bytes", n, len(buf))
+		}
 		elems := make([]sqltypes.Value, n)
 		var err error
 		for i := range elems {
@@ -128,6 +131,12 @@ func DecodeRow(buf []byte) ([]sqltypes.Value, []byte, error) {
 		return nil, nil, fmt.Errorf("storage: bad row arity")
 	}
 	buf = buf[w:]
+	// Every encoded value takes at least its tag byte, so an arity larger
+	// than the remaining bytes is corrupt; rejecting it before make keeps a
+	// hostile varint from forcing a huge allocation.
+	if n > uint64(len(buf)) {
+		return nil, nil, fmt.Errorf("storage: row arity %d exceeds %d remaining bytes", n, len(buf))
+	}
 	row := make([]sqltypes.Value, n)
 	var err error
 	for i := range row {

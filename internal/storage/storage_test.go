@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -248,6 +249,22 @@ func TestRowCodecTruncation(t *testing.T) {
 	}
 	if _, _, err := DecodeValue([]byte{250}); err == nil {
 		t.Fatal("unknown tag should error")
+	}
+}
+
+// TestRowCodecOversizedCount: a row arity or tuple arity larger than the
+// bytes that follow is rejected before anything is allocated for it.
+func TestRowCodecOversizedCount(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<42)
+	if _, _, err := DecodeRow(huge); err == nil {
+		t.Fatal("DecodeRow accepted arity 2^42 with no bytes left")
+	}
+	tuple := append([]byte{byte(sqltypes.KindTuple)}, huge...)
+	if _, _, err := DecodeValue(tuple); err == nil {
+		t.Fatal("DecodeValue accepted tuple arity 2^42 with no bytes left")
+	}
+	if _, _, err := DecodeRow(append([]byte{1}, tuple...)); err == nil {
+		t.Fatal("DecodeRow accepted a nested tuple arity 2^42")
 	}
 }
 

@@ -35,6 +35,17 @@ func (r *ExecResult) RowCount() int64 {
 	return n
 }
 
+// checkCount rejects a decoded element count larger than the bytes left to
+// decode it from. Every encoded element takes at least one byte, so such a
+// count is corrupt; checking it before make keeps a hostile varint from
+// forcing a huge allocation.
+func checkCount(n uint64, rest []byte) error {
+	if n > uint64(len(rest)) {
+		return fmt.Errorf("wire: element count %d exceeds %d remaining bytes", n, len(rest))
+	}
+	return nil
+}
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -62,6 +73,9 @@ func readStrings(buf []byte) ([]string, []byte, error) {
 		return nil, nil, fmt.Errorf("wire: truncated string list")
 	}
 	buf = buf[w:]
+	if err := checkCount(n, buf); err != nil {
+		return nil, nil, err
+	}
 	out := make([]string, n)
 	var err error
 	for i := range out {
@@ -86,6 +100,9 @@ func readRows(buf []byte) ([][]sqltypes.Value, []byte, error) {
 		return nil, nil, fmt.Errorf("wire: truncated row batch")
 	}
 	buf = buf[w:]
+	if err := checkCount(n, buf); err != nil {
+		return nil, nil, err
+	}
 	rows := make([][]sqltypes.Value, n)
 	var err error
 	for i := range rows {
@@ -118,6 +135,9 @@ func DecodeExecResult(body []byte) (*ExecResult, error) {
 		return nil, fmt.Errorf("wire: truncated result sets")
 	}
 	rest = rest[w:]
+	if err := checkCount(n, rest); err != nil {
+		return nil, err
+	}
 	res := &ExecResult{Prints: prints, Sets: make([]ResultSet, n)}
 	for i := range res.Sets {
 		if res.Sets[i].Columns, rest, err = readStrings(rest); err != nil {
@@ -305,6 +325,9 @@ func DecodeServerStats(body []byte) (*ServerStats, error) {
 		return nil, fmt.Errorf("wire: truncated slow-query log")
 	}
 	body = body[w:]
+	if err := checkCount(n, body); err != nil {
+		return nil, err
+	}
 	st.Slow = make([]SlowQuery, n)
 	for i := range st.Slow {
 		us, w := binary.Uvarint(body)

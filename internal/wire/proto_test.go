@@ -280,3 +280,56 @@ func TestTruncatedBodiesRejected(t *testing.T) {
 		t.Fatal("empty query req must error")
 	}
 }
+
+// TestOversizedCountsRejected: every decoder that sizes a slice from a
+// decoded count rejects a count larger than the bytes left, instead of
+// handing it to make (2^42 elements aborts the process with an
+// unrecoverable out-of-memory error).
+func TestOversizedCountsRejected(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<42)
+	uv := func(vals ...uint64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"query args", func() error {
+			_, _, err := DecodeQueryReq(cat(uv(1), huge))
+			return err
+		}},
+		{"cursor columns", func() error {
+			_, _, err := DecodeCursorResp(cat(uv(1), huge))
+			return err
+		}},
+		{"rows count", func() error {
+			_, _, err := DecodeRowsResp(cat([]byte{0}, huge))
+			return err
+		}},
+		{"exec prints", func() error {
+			_, err := DecodeExecResult(huge)
+			return err
+		}},
+		{"exec result sets", func() error {
+			_, err := DecodeExecResult(cat(uv(0), huge))
+			return err
+		}},
+		{"exec set rows", func() error {
+			_, err := DecodeExecResult(cat(uv(0, 1, 0), huge))
+			return err
+		}},
+		{"slow-query log", func() error {
+			_, err := DecodeServerStats(cat(uv(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), huge))
+			return err
+		}},
+	} {
+		if err := tc.decode(); err == nil {
+			t.Errorf("%s: oversized count decoded without error", tc.name)
+		}
+	}
+}

@@ -119,6 +119,9 @@ echo "system catalog OK (select ? + ? recorded 3 calls)"
 stage "fingerprint-stats overhead guard (warm hot path must not allocate)"
 go test -count=1 -run TestStmtStatsWarmZeroAllocs ./internal/engine
 
+stage "batch allocation guard (allocations must not grow with row width)"
+go test -count=1 -run TestBatchAllocsIndependentOfWidth ./internal/exec
+
 stage "kill-and-recover smoke (WAL durability)"
 go build -o "$tmp/sqlsh" ./cmd/sqlsh
 datadir="$tmp/data"
