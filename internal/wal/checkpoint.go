@@ -48,8 +48,9 @@ type Checkpoint struct {
 	Tables []TableImage
 }
 
-// WriteCheckpoint atomically writes cp into dir.
-func WriteCheckpoint(dir string, cp *Checkpoint) error {
+// encodeCheckpoint serializes cp into a checkpoint payload (the bytes
+// after the header and CRC).
+func encodeCheckpoint(cp *Checkpoint) []byte {
 	payload := binary.AppendUvarint(nil, cp.Epoch)
 	payload = binary.AppendUvarint(payload, uint64(len(cp.Tables)))
 	for _, t := range cp.Tables {
@@ -78,7 +79,12 @@ func WriteCheckpoint(dir string, cp *Checkpoint) error {
 			payload = storage.AppendRow(payload, row)
 		}
 	}
+	return payload
+}
 
+// WriteCheckpoint atomically writes cp into dir.
+func WriteCheckpoint(dir string, cp *Checkpoint) error {
+	payload := encodeCheckpoint(cp)
 	buf := make([]byte, 0, len(checkpointMagic)+frameOverhead+len(payload))
 	buf = append(buf, checkpointMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
@@ -146,82 +152,94 @@ func ReadCheckpoint(dir string) (*Checkpoint, bool, error) {
 		return nil, false, fmt.Errorf("wal: checkpoint payload corrupt")
 	}
 
+	cp, err := decodeCheckpoint(payload, v1)
+	if err != nil {
+		return nil, false, err
+	}
+	return cp, true, nil
+}
+
+// decodeCheckpoint parses a checkpoint payload (the bytes after the header
+// and CRC). v1 selects the version-1 layout, whose index entries carry no
+// kind byte.
+func decodeCheckpoint(payload []byte, v1 bool) (*Checkpoint, error) {
+	var err error
 	cp := &Checkpoint{}
 	cp.Epoch, payload, err = decodeUvarint(payload)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	ntables, payload, err := decodeUvarint(payload)
+	ntables, payload, err := decodeCount(payload, "checkpoint table")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	cp.Tables = make([]TableImage, 0, ntables)
-	for i := uint64(0); i < ntables; i++ {
+	for i := 0; i < ntables; i++ {
 		var t TableImage
 		t.Name, payload, err = decodeString(payload)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		ncols, rest, err := decodeUvarint(payload)
+		ncols, rest, err := decodeCount(payload, "checkpoint column")
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		payload = rest
 		t.Cols = make([]ColumnDef, 0, ncols)
-		for j := uint64(0); j < ncols; j++ {
+		for j := 0; j < ncols; j++ {
 			var c ColumnDef
 			c.Name, payload, err = decodeString(payload)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			c.Type, payload, err = decodeColumnType(payload)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			t.Cols = append(t.Cols, c)
 		}
-		nidx, rest, err := decodeUvarint(payload)
+		nidx, rest, err := decodeCount(payload, "checkpoint index")
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		payload = rest
-		for j := uint64(0); j < nidx; j++ {
+		for j := 0; j < nidx; j++ {
 			var ix IndexDef
 			ix.Column, payload, err = decodeString(payload)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if !v1 {
 				if len(payload) < 1 {
-					return nil, false, fmt.Errorf("wal: truncated checkpoint index")
+					return nil, fmt.Errorf("wal: truncated checkpoint index")
 				}
 				ix.Ordered = payload[0] != 0
 				payload = payload[1:]
 			}
 			t.Indexes = append(t.Indexes, ix)
 		}
-		nslots, rest, err := decodeUvarint(payload)
+		nslots, rest, err := decodeCount(payload, "checkpoint slot")
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		payload = rest
 		if nslots > 0 {
 			t.Slots = make([][]sqltypes.Value, nslots)
 		}
-		for j := uint64(0); j < nslots; j++ {
+		for j := 0; j < nslots; j++ {
 			if len(payload) < 1 {
-				return nil, false, fmt.Errorf("wal: truncated checkpoint slot")
+				return nil, fmt.Errorf("wal: truncated checkpoint slot")
 			}
 			present := payload[0] != 0
 			payload = payload[1:]
 			if present {
 				t.Slots[j], payload, err = storage.DecodeRow(payload)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 			}
 		}
 		cp.Tables = append(cp.Tables, t)
 	}
-	return cp, true, nil
+	return cp, nil
 }

@@ -95,6 +95,21 @@ func decodeUvarint(buf []byte) (uint64, []byte, error) {
 	return n, buf[w:], nil
 }
 
+// decodeCount reads an element count. Every element the decoders read
+// takes at least one byte, so a count larger than the remaining bytes is
+// corrupt; rejecting it before make keeps a damaged length from allocating
+// unbounded memory.
+func decodeCount(buf []byte, what string) (int, []byte, error) {
+	n, rest, err := decodeUvarint(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(rest)) {
+		return 0, nil, fmt.Errorf("wal: %s count %d exceeds %d remaining bytes", what, n, len(rest))
+	}
+	return int(n), rest, nil
+}
+
 // EncodeCommit serializes a commit record payload.
 func EncodeCommit(epoch uint64, muts []txn.Mutation) []byte {
 	buf := []byte{recCommit}
@@ -187,12 +202,12 @@ func DecodeRecord(payload []byte) (any, error) {
 	}
 	switch kind {
 	case recCommit:
-		n, buf, err := decodeUvarint(buf)
+		n, buf, err := decodeCount(buf, "mutation")
 		if err != nil {
 			return nil, err
 		}
 		rec := &CommitRecord{Epoch: epoch, Muts: make([]txn.Mutation, 0, n)}
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			if len(buf) < 1 {
 				return nil, fmt.Errorf("wal: truncated mutation")
 			}
@@ -227,12 +242,12 @@ func DecodeRecord(payload []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, buf, err := decodeUvarint(buf)
+		n, buf, err := decodeCount(buf, "column")
 		if err != nil {
 			return nil, err
 		}
 		rec.Cols = make([]ColumnDef, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			var c ColumnDef
 			c.Name, buf, err = decodeString(buf)
 			if err != nil {
