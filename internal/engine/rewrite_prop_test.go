@@ -22,11 +22,13 @@ import (
 
 // randomRewriteQuery emits one query shaped to give the rewrite rules
 // something to chew on: constant subexpressions, filters above derived
-// tables (plain and grouped), unreferenced pass-through columns, and
-// redundant outer sorts.
+// tables (plain and grouped), unreferenced pass-through columns, redundant
+// outer sorts, and — since every query block runs the rules — nested
+// blocks: correlated scalar, EXISTS and IN subqueries and WITH bodies, with
+// equality predicates on indexed columns keyed by outer columns.
 func randomRewriteQuery(rng *rand.Rand) string {
 	k := rng.Intn(10)
-	switch rng.Intn(10) {
+	switch rng.Intn(14) {
 	case 0: // constant folding in the predicate
 		return fmt.Sprintf(`select a, b from t1 where 1 + 1 = 2 and a < %d and 'x' <> 'y' order by a, b`, k)
 	case 1: // pushdown into a plain derived table (indexed base column)
@@ -54,6 +56,30 @@ func randomRewriteQuery(rng *rand.Rand) string {
 		                    join t2 on t1.a = t2.a
 		                    join t3 on t2.a = t3.a
 		                    where t1.b >= %d order by t1.a, t2.d, t3.e`, rng.Intn(10)-5)
+	case 10: // correlated scalar subqueries: one in the projection (which
+		// decorrelation rewrites), one in WHERE (compiled per row, seeking
+		// t2 and t3 by the outer column)
+		return fmt.Sprintf(`select t1.a, t1.b, (select max(t2.d) from t2 where t2.a = t1.a) as m from t1
+		                    where t1.b < (select count(*) from t3 where t3.a = t1.a and t3.e > %d) + %d
+		                    order by a, b, m`, rng.Intn(40), rng.Intn(6))
+	case 11: // correlated EXISTS / NOT EXISTS with constant folding inside
+		neg := ""
+		if rng.Intn(2) == 0 {
+			neg = "not "
+		}
+		return fmt.Sprintf(`select a, b from t1 where %sexists
+		                    (select 1 from t2 where t2.a = t1.a and t2.d > %d and 2 * 3 = 6)
+		                    order by a, b`, neg, rng.Intn(100))
+	case 12: // WITH bodies: pushdown into a derived table inside the CTE,
+		// an equality seek in the CTE body, then a join against it
+		return fmt.Sprintf(`with w as (select q.a, q.d from (select a, d, 1 as one from t2) q where q.a = %d),
+		                         v as (select a, e from t3 where a = %d)
+		                    select t1.a, t1.b, w.d, v.e from t1, w, v where t1.a = w.a and v.a = w.a
+		                    order by a, b, d, e`, k, k)
+	case 13: // IN subquery seeking by a literal, inside a derived table
+		return fmt.Sprintf(`select q.a, q.b from (select a, b from t1 where b in
+		                      (select e - 20 from t3 where t3.a = %d)) q
+		                    where q.a >= %d order by a, b`, k, rng.Intn(5))
 	default: // everything at once, plus a constant CASE
 		return fmt.Sprintf(`select q.g, q.n from
 		  (select a %% 3 as g, count(*) as n, sum(b) as sb from t1 where case when 1 = 1 then b else a end >= %d

@@ -7,17 +7,21 @@
 //   - choose_access_path costs the access paths available to each base
 //     scan — full scan, index equality seek, ordered-index range seek —
 //     from table statistics and equi-depth histograms, and pins the
-//     cheapest on the lScan as an accessHint the physical compiler obeys.
-//     Cost formulas (N = live rows, NDV = distinct values, sel = histogram
-//     range selectivity):
+//     choice on the lScan as an accessHint the physical compiler obeys.
+//     It is the planner's only access-path decider. Cost formulas (N =
+//     live rows, NDV = distinct values, sel = histogram range
+//     selectivity):
 //
 //     scan   N
 //     eq     1 + N/NDV
 //     range  log2(N) + 1 + sel*N
 //
-//     Ties prefer the equality seek (today's default), then range seek,
-//     then scan, so enabling the rule without stats pressure reproduces
-//     familiar plans.
+//     An equality seek is never costed out in favour of a full scan: many
+//     plans (scalar subqueries cached by the engine, compiled aggregate
+//     bodies) carry no stats stamps and are never replanned, so a table
+//     that is empty at compile time must not pin a scan forever. A range
+//     seek beats an equality seek only when strictly cheaper; ties prefer
+//     the equality seek, then the range seek, then the scan.
 //
 //   - reorder_joins flattens maximal all-inner explicit join chains and
 //     greedily re-joins them smallest-estimated-cardinality-first (staying
@@ -49,19 +53,22 @@ const (
 	accessRange
 )
 
-// accessHint pins the physical access path for one base-table scan.
+// accessHint pins the physical access path for one base-table scan. mark
+// is the EXPLAIN annotation of the chosen path: the rule itself plus the
+// marks of the filters the seek consumes.
 type accessHint struct {
 	kind accessKind
 	col  string
-	cost float64
-	// Equality seek: key expression and the conjunct it consumes.
+	cost float64 // 0 when the path was the only candidate, so not costed
+	mark string
+	// Equality seek: key expression and the filter it consumes.
 	key    ast.Expr
-	eqConj ast.Expr
+	eqConj *lFilter
 	// Range seek: bound expressions (nil = unbounded), strictness, and
-	// the conjuncts the bounds consume.
+	// the filters the bounds consume.
 	lo, hi             ast.Expr
 	loStrict, hiStrict bool
-	loConj, hiConj     ast.Expr
+	loConj, hiConj     *lFilter
 }
 
 // costSuffix renders the EXPLAIN cost annotation.
@@ -69,111 +76,54 @@ func costSuffix(c float64) string { return fmt.Sprintf(" cost=%.1f", c) }
 
 // --- choose_access_path ---
 
-// choosePass walks the IR and, for every block whose FROM is reachable
-// below its WHERE filter chain, decides an access path per base scan.
+// choosePass walks the IR and decides an access path for the base scans
+// of every block.
 func (rw *rewriter) choosePass(n lNode) lNode {
 	n = mapLogicalChildren(n, rw.choosePass)
-	switch t := n.(type) {
-	case *lProject:
-		rw.chooseBlock(t.In)
-	case *lAggregate:
-		rw.chooseBlock(t.In)
+	if p, ok := n.(*lProject); ok {
+		sp := spineOf(p)
+		rw.chooseBlock(sp.from, sp.where)
 	}
 	return n
 }
 
-// chooseBlock gathers the filter chain above a FROM node and decides
-// access paths for the scans it covers. A chain terminating anywhere else
-// (e.g. HAVING filters above an aggregate) is left alone.
-func (rw *rewriter) chooseBlock(n lNode) {
-	var preds []ast.Expr
-	for {
-		f, ok := n.(*lFilter)
-		if !ok {
-			break
-		}
-		preds = append(preds, f.Pred)
-		n = f.In
-	}
-	switch n.(type) {
-	case *lScan, *lCross, *lJoin:
-	default:
+// chooseBlock classifies a block's WHERE filters by the FROM units they
+// reference — with unitsOf, the same classification compileFrom applies —
+// and decides access paths for the scans that own single-unit filters. A
+// seek key may reference anything the block's own units do not bind:
+// literals, variables, parameters, outer-scope columns.
+func (rw *rewriter) chooseBlock(from lNode, where []*lFilter) {
+	if len(where) == 0 {
 		return
 	}
-	var units []unitRef
-	rw.collectUnits(n, func(lNode) {}, false, false, false, &units)
-	perUnit := resolveConjuncts(units, preds)
+	var refs []unitRef
+	rw.collectUnits(from, func(lNode) {}, false, false, false, &refs)
+	units := make([]*fromUnit, len(refs))
+	for i, r := range refs {
+		units[i] = &fromUnit{node: r.node, binding: r.binding, cols: r.cols}
+	}
+	free := func(key ast.Expr) bool { return len(unitsOf(key, units)) == 0 }
+	perUnit := map[int][]*lFilter{}
+	for i := len(where) - 1; i >= 0; i-- { // outermost filter first
+		if refd := unitsOf(where[i].Pred, units); len(refd) == 1 {
+			for u := range refd {
+				perUnit[u] = append(perUnit[u], where[i])
+			}
+		}
+	}
 	for i, u := range units {
-		scan, ok := u.node.(*lScan)
-		if !ok || len(perUnit[i]) == 0 {
-			continue
-		}
-		rw.decideAccess(scan, perUnit[i])
-	}
-}
-
-// resolveConjuncts assigns each predicate to the single unit it references,
-// mirroring compileFrom's conjunct classification. Predicates that span
-// units, embed subqueries, or resolve ambiguously are skipped (they stay
-// wherever compilation puts them).
-func resolveConjuncts(units []unitRef, preds []ast.Expr) map[int][]ast.Expr {
-	out := map[int][]ast.Expr{}
-	for _, pred := range preds {
-		if ast.HasSubquery(pred) {
-			continue
-		}
-		refs := ast.ColRefs(pred)
-		if len(refs) == 0 {
-			continue
-		}
-		target := -1
-		ok := true
-		for _, cr := range refs {
-			idx := -1
-			for i, u := range units {
-				var match bool
-				if cr.Table != "" {
-					if cr.Table != u.binding {
-						continue
-					}
-					match = u.known && containsStr(u.cols, cr.Name)
-				} else {
-					if !u.known {
-						ok = false
-						break
-					}
-					match = containsStr(u.cols, cr.Name)
-				}
-				if match {
-					if idx != -1 {
-						ok = false
-						break
-					}
-					idx = i
-				}
-			}
-			if !ok || idx == -1 {
-				ok = false
-				break
-			}
-			if target == -1 {
-				target = idx
-			} else if target != idx {
-				ok = false
-				break
-			}
-		}
-		if ok && target >= 0 {
-			out[target] = append(out[target], pred)
+		if scan, ok := u.node.(*lScan); ok && len(perUnit[i]) > 0 {
+			rw.decideAccess(scan, perUnit[i], free)
 		}
 	}
-	return out
 }
 
 // decideAccess costs the candidate access paths for one scan and pins the
-// cheapest. Fires only when there is an actual choice (at least one seek
-// candidate); index-less scans compile exactly as before.
-func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
+// choice. Fires only when there is at least one seek candidate; index-less
+// scans compile as plain scans. A lone equality candidate is pinned
+// without consulting statistics (and so without a cost): it cannot lose to
+// a scan, and computing a table's statistics means a full pass over it.
+func (rw *rewriter) decideAccess(scan *lScan, conjs []*lFilter, free func(ast.Expr) bool) {
 	if lateBound(scan.Name) {
 		return
 	}
@@ -181,71 +131,73 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	if err != nil {
 		return
 	}
-	st := tab.Statistics()
-	n := float64(st.Rows)
-	if n < 1 {
-		n = 1
-	}
-
-	// Best equality-seek candidate: lowest 1 + N/NDV over indexed columns.
-	var eqBest *accessHint
+	rule := ruleName(RuleChooseAccessPath)
+	var eqs, ranges []*accessHint
 	for _, cj := range conjs {
-		col, key, ok := eqColKey(cj, tab)
-		if !ok || tab.Index(col) == nil {
-			continue
-		}
-		ndv := float64(st.DistinctOf(tab.Schema, col))
-		if ndv < 1 {
-			ndv = 1
-		}
-		cost := 1 + n/ndv
-		if eqBest == nil || cost < eqBest.cost {
-			eqBest = &accessHint{kind: accessEq, col: col, cost: cost, key: key, eqConj: cj}
+		if col, key, ok := eqColKey(cj.Pred, tab, free); ok && tab.Index(col) != nil {
+			eqs = append(eqs, &accessHint{kind: accessEq, col: col, key: key, eqConj: cj, mark: addMark(cj.mark, rule)})
 		}
 	}
-
-	// Best range-seek candidate over ordered-indexed columns.
-	var rangeBest *accessHint
 	for _, d := range tab.IndexDefs() {
 		if !d.Ordered {
 			continue
 		}
-		h := rangeBounds(conjs, d.Column, tab)
-		if h == nil {
-			continue
+		if h := rangeBounds(conjs, d.Column, tab); h != nil {
+			ranges = append(ranges, h)
 		}
-		sel := rangeSelectivity(st, d.Column, h)
-		h.cost = math.Log2(n) + 1 + sel*n
+	}
+	if len(eqs) == 0 && len(ranges) == 0 {
+		return
+	}
+	rw.fire(RuleChooseAccessPath)
+	if len(eqs) == 1 && len(ranges) == 0 {
+		scan.hint = eqs[0]
+		return
+	}
+
+	st := tab.Statistics()
+	n := math.Max(float64(st.Rows), 1)
+	// Best equality seek: lowest 1 + N/NDV; best range seek: lowest
+	// log2(N) + 1 + sel*N. Earlier candidates win ties.
+	var eqBest, rangeBest *accessHint
+	for _, h := range eqs {
+		h.cost = 1 + n/math.Max(float64(st.DistinctOf(tab.Schema, h.col)), 1)
+		if eqBest == nil || h.cost < eqBest.cost {
+			eqBest = h
+		}
+	}
+	for _, h := range ranges {
+		h.cost = math.Log2(n) + 1 + rangeSelectivity(st, h.col, h)*n
 		if rangeBest == nil || h.cost < rangeBest.cost {
 			rangeBest = h
 		}
 	}
-
-	if eqBest == nil && rangeBest == nil {
-		return
+	switch {
+	case eqBest != nil && (rangeBest == nil || eqBest.cost <= rangeBest.cost):
+		scan.hint = eqBest
+	case eqBest != nil || rangeBest.cost < n:
+		for _, cj := range []*lFilter{rangeBest.loConj, rangeBest.hiConj} {
+			if cj != nil {
+				rangeBest.mark = addMark(rangeBest.mark, cj.mark)
+			}
+		}
+		rangeBest.mark = addMark(rangeBest.mark, rule)
+		scan.hint = rangeBest
+	default:
+		scan.hint = &accessHint{kind: accessScan, cost: n, mark: rule}
 	}
-	chosen := &accessHint{kind: accessScan, cost: n}
-	if rangeBest != nil && rangeBest.cost < chosen.cost {
-		chosen = rangeBest
-	}
-	if eqBest != nil && eqBest.cost <= chosen.cost {
-		chosen = eqBest
-	}
-	scan.hint = chosen
-	rw.fire(RuleChooseAccessPath)
 }
 
 // eqColKey matches `col = key` / `key = col` where col is a bare column of
-// tab and key contains no column references (literals, variables,
-// parameters — evaluable before the scan opens).
-func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
+// tab and free(key) holds.
+func eqColKey(e ast.Expr, tab *storage.Table, free func(ast.Expr) bool) (string, ast.Expr, bool) {
 	b, ok := e.(*ast.BinExpr)
 	if !ok || b.Op != sqltypes.OpEq {
 		return "", nil, false
 	}
 	for _, flip := range []struct{ col, key ast.Expr }{{b.L, b.R}, {b.R, b.L}} {
 		cr, isCol := flip.col.(*ast.ColRef)
-		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 || len(ast.ColRefs(flip.key)) != 0 {
+		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 || !free(flip.key) {
 			continue
 		}
 		return cr.Name, flip.key, true
@@ -253,13 +205,17 @@ func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
 	return "", nil, false
 }
 
+// noColRefs reports whether e references no column at all (so it is
+// evaluable before any scan opens).
+func noColRefs(e ast.Expr) bool { return len(ast.ColRefs(e)) == 0 }
+
 // rangeBounds combines comparison conjuncts over col into one [lo, hi]
 // range hint (first conjunct per side wins); nil when no bound applies.
-func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
+func rangeBounds(conjs []*lFilter, col string, tab *storage.Table) *accessHint {
 	h := &accessHint{kind: accessRange, col: col}
 	for _, cj := range conjs {
-		b, ok := cj.(*ast.BinExpr)
-		if !ok {
+		b, ok := cj.Pred.(*ast.BinExpr)
+		if !ok || ast.HasSubquery(b) {
 			continue
 		}
 		var cmp sqltypes.BinaryOp
@@ -374,8 +330,7 @@ func (rw *rewriter) reorderChain(j *lJoin) lNode {
 	infos := make([]unitRef, len(leaves))
 	bindings := map[string]bool{}
 	for i, leaf := range leaves {
-		var u unitRef
-		u.binding, u.cols, u.known = rw.unitInfo(leaf)
+		u := rw.unitRef(leaf, nil, false, false, false)
 		if !u.known || u.binding == "" || bindings[u.binding] {
 			return j
 		}
@@ -553,22 +508,11 @@ func (rw *rewriter) estimateLeaf(n lNode) (float64, bool) {
 				inner = w.In
 			case *lSort:
 				inner = w.In
-			case *lApply:
-				inner = w.In
 			case *lProject:
 				if w.Distinct {
 					return 0, false
 				}
-				var preds []ast.Expr
-				c := w.In
-				for {
-					f, ok := c.(*lFilter)
-					if !ok {
-						break
-					}
-					preds = append(preds, f.Pred)
-					c = f.In
-				}
+				preds, c := filterChain(w.In)
 				s, ok := c.(*lScan)
 				if !ok {
 					return 0, false
@@ -580,7 +524,7 @@ func (rw *rewriter) estimateLeaf(n lNode) (float64, bool) {
 				st := tab.Statistics()
 				rows := math.Max(float64(st.Rows), 1)
 				for _, p := range preds {
-					rows *= predSelectivity(p, tab, st)
+					rows *= predSelectivity(p.Pred, tab, st)
 				}
 				return math.Max(rows, 0.1), true
 			default:
@@ -611,7 +555,7 @@ func predSelectivity(p ast.Expr, tab *storage.Table, st storage.TableStatistics)
 		return defaultSelectivity
 	}
 	if b.Op == sqltypes.OpEq {
-		if col, _, ok := eqColKey(p, tab); ok {
+		if col, _, ok := eqColKey(p, tab, noColRefs); ok {
 			ndv := float64(st.DistinctOf(tab.Schema, col))
 			if ndv < 1 {
 				ndv = 1
@@ -625,7 +569,7 @@ func predSelectivity(p ast.Expr, tab *storage.Table, st storage.TableStatistics)
 		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 {
 			continue
 		}
-		if h := rangeBounds([]ast.Expr{p}, cr.Name, tab); h != nil {
+		if h := rangeBounds([]*lFilter{{Pred: p}}, cr.Name, tab); h != nil {
 			return clampSel(rangeSelectivity(st, cr.Name, h))
 		}
 	}

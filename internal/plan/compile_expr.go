@@ -10,23 +10,16 @@ import (
 	"aggify/internal/storage"
 )
 
-// compiler holds the immutable state of one compilation.
+// compiler holds the state of one compilation.
 type compiler struct {
 	cat  Catalog
 	opts Options
 	// slots, when non-nil, resolves variable references to Ctx.VarSlots
 	// indexes at compile time (compiled procedural blocks).
 	slots map[string]int
-	// marks and selMarks carry fired-rewrite-rule annotations from the
-	// logical rewrite pass (rewrite.go) to the physical explain tree, keyed
-	// by the exact predicate / derived-table-body pointers lowering emitted.
-	marks    map[ast.Expr]string
-	selMarks map[*ast.Select]string
-	// accessHints pins the access path choose_access_path selected for a
-	// base-table scan, keyed by the TableRef lowering emitted; joinMarks
-	// carries reorder_joins EXPLAIN suffixes, keyed by the lowered Join.
-	accessHints map[*ast.TableRef]*accessHint
-	joinMarks   map[*ast.Join]string
+	// fired counts rewrite-rule firings over every block compiled so far
+	// (Plan.Rewrites).
+	fired map[RuleSet]int
 }
 
 // stampingCatalog wraps a Catalog and records the stats version of every

@@ -1,11 +1,13 @@
 package plan
 
 import (
+	"fmt"
+	"slices"
+
 	"aggify/internal/ast"
 	"aggify/internal/exec"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
-	"fmt"
 )
 
 // splitConjuncts flattens a predicate into its AND-ed conjuncts.
@@ -19,95 +21,45 @@ func splitConjuncts(e ast.Expr) []ast.Expr {
 	return []ast.Expr{e}
 }
 
-// fromUnit is one item of a comma-joined FROM list before physical
-// compilation.
+// fromUnit is one item of a comma-joined FROM list (or one side of an
+// explicit join) before physical compilation.
 type fromUnit struct {
 	pos     int
-	te      ast.TableExpr
-	binding string   // visible qualifier ("" for explicit joins)
-	cols    []string // output column names (for conjunct classification)
-	tab     *storage.Table
-	preds   []ast.Expr // single-unit conjuncts assigned to this unit
+	node    lNode
+	binding string         // visible qualifier ("" for explicit joins)
+	cols    []string       // output column names; nil when unknown
+	tab     *storage.Table // the base table a non-late-bound scan reads
+	preds   []*lFilter     // single-unit conjuncts assigned to this unit
 }
 
-// hasCol reports whether the unit exposes the (possibly qualified) column.
+// newFromUnit describes FROM node n at list position pos.
+func (c *compiler) newFromUnit(pos int, n lNode, env *cteEnv) (*fromUnit, error) {
+	binding, cols, _, err := c.unitInfo(n, env)
+	if err != nil {
+		return nil, err
+	}
+	u := &fromUnit{pos: pos, node: n, binding: binding, cols: cols}
+	if s, ok := n.(*lScan); ok && !lateBound(s.Name) {
+		u.tab, _ = c.cat.ResolveTable(s.Name) // cannot fail: unitInfo resolved it
+	}
+	return u, nil
+}
+
+// hasCol reports whether the unit may expose the (possibly qualified)
+// column. A unit whose columns are unknown exposes every name under its
+// binding.
 func (u *fromUnit) hasCol(ref *ast.ColRef) bool {
 	if ref.Table != "" && ref.Table != u.binding {
 		return false
 	}
-	for _, c := range u.cols {
-		if c == ref.Name {
-			return true
-		}
-	}
-	return false
+	return u.cols == nil || containsStr(u.cols, ref.Name)
 }
 
-// outputNames derives the output column names of a table expression without
-// compiling it (used for conjunct classification before join ordering).
-func (c *compiler) outputNames(te ast.TableExpr, env *cteEnv) ([]string, error) {
-	switch t := te.(type) {
-	case *ast.TableRef:
-		if b := env.lookup(t.Name); b != nil {
-			out := make([]string, len(b.cols))
-			for i, col := range b.cols {
-				out[i] = col.Name
-			}
-			return out, nil
-		}
-		tab, err := c.cat.ResolveTable(t.Name)
-		if err != nil {
-			return nil, err
-		}
-		return tab.Schema.Names(), nil
-	case *ast.SubqueryRef:
-		return c.selectOutputNames(t.Query, env)
-	case *ast.Join:
-		l, err := c.outputNames(t.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.outputNames(t.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return append(l, r...), nil
-	}
-	return nil, errf("unknown table expression %T", te)
-}
-
-// selectOutputNames derives a query's output column names without compiling.
-func (c *compiler) selectOutputNames(q *ast.Select, env *cteEnv) ([]string, error) {
-	var err error
-	if env, err = c.registerCTEs(q, nil, env); err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, it := range q.Items {
-		if it.Star {
-			for _, te := range q.From {
-				names, err := c.outputNames(te, env)
-				if err != nil {
-					return nil, err
-				}
-				if it.Alias != "" && ast.BindingName(te) != it.Alias {
-					continue
-				}
-				out = append(out, names...)
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*ast.ColRef); ok {
-				name = cr.Name
-			} else {
-				name = fmt.Sprintf("col%d", len(out)+1)
-			}
-		}
-		out = append(out, name)
-	}
-	return out, nil
+// eqSeek reports whether choose_access_path pinned an equality seek on the
+// unit.
+func (u *fromUnit) eqSeek() bool {
+	s, ok := u.node.(*lScan)
+	return ok && s.hint != nil && s.hint.kind == accessEq
 }
 
 // unitsOf returns the set of unit indexes referenced by e, conservatively:
@@ -146,91 +98,62 @@ func eqSides(e ast.Expr) (l, r ast.Expr, ok bool) {
 	return b.L, b.R, true
 }
 
-// compileFrom builds the physical access path for a FROM list and WHERE
-// clause: greedy join ordering over the comma-joined units, index-seek
-// selection for sargable predicates, hash joins for equi-predicates, and
-// filter placement for everything else. All WHERE conjuncts are consumed.
-func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
+// compileFrom builds the physical access path for a FROM node and its
+// WHERE filters: greedy join ordering over the comma-joined units, the
+// access paths choose_access_path pinned, hash or index nested-loop joins
+// for equi-predicates, and filter placement for everything else. All WHERE
+// conjuncts are consumed.
+func (c *compiler) compileFrom(from lNode, where []*lFilter, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
+	items := fromUnits(from)
 	if len(items) == 0 {
 		sc := &scope{parent: parent}
 		n := node("OneRow")
 		builder := annotate(func(*buildCtx) exec.Operator { return &exec.OneRowOp{} }, n)
-		return c.applyFilter(builder, n, where, sc, env)
+		if len(where) == 0 {
+			return builder, sc, n, nil
+		}
+		mark := ""
+		if len(where) == 1 {
+			mark = where[0].mark
+		}
+		builder, n, err := c.filter(builder, n, ast.And(predsOf(where)...), mark, sc, env)
+		return builder, sc, n, err
 	}
 
-	// Build unit metadata.
 	units := make([]*fromUnit, len(items))
-	for i, te := range items {
-		cols, err := c.outputNames(te, env)
+	for i, it := range items {
+		u, err := c.newFromUnit(i, it, env)
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		u := &fromUnit{pos: i, te: te, binding: ast.BindingName(te), cols: cols}
-		if tr, ok := te.(*ast.TableRef); ok && env.lookup(tr.Name) == nil && !lateBound(tr.Name) {
-			if tab, err := c.cat.ResolveTable(tr.Name); err == nil {
-				u.tab = tab
-			}
 		}
 		units[i] = u
 	}
 
-	conjuncts := splitConjuncts(where)
 	type conj struct {
-		expr    ast.Expr
+		f       *lFilter
 		units   map[int]bool
 		applied bool
 	}
-	conjs := make([]*conj, len(conjuncts))
-	for i, e := range conjuncts {
-		conjs[i] = &conj{expr: e, units: unitsOf(e, units)}
+	conjs := make([]*conj, len(where))
+	for i, f := range where {
+		conjs[i] = &conj{f: f, units: unitsOf(f.Pred, units)}
 	}
 
 	// Assign single-unit conjuncts to their units.
 	for _, cj := range conjs {
 		if len(cj.units) == 1 {
 			for i := range cj.units {
-				units[i].preds = append(units[i].preds, cj.expr)
+				units[i].preds = append(units[i].preds, cj.f)
 			}
 			cj.applied = true
 		}
 	}
 
-	// sargableIndexed reports whether the unit has an indexed, constant
-	// (unit-free) equality predicate and returns its column.
-	sargableIndexed := func(u *fromUnit) (col string, key ast.Expr, rest []ast.Expr, found bool) {
-		rest = append(rest, u.preds...)
-		if u.tab == nil {
-			return "", nil, rest, false
-		}
-		for i, p := range u.preds {
-			l, r, ok := eqSides(p)
-			if !ok {
-				continue
-			}
-			for _, flip := range []struct{ col, key ast.Expr }{{l, r}, {r, l}} {
-				cr, isCol := flip.col.(*ast.ColRef)
-				if !isCol || !u.hasCol(cr) {
-					continue
-				}
-				if len(unitsOf(flip.key, units)) != 0 {
-					continue
-				}
-				if u.tab.Index(cr.Name) == nil {
-					continue
-				}
-				rest = append(rest[:0], u.preds[:i]...)
-				rest = append(rest, u.preds[i+1:]...)
-				return cr.Name, flip.key, rest, true
-			}
-		}
-		return "", nil, rest, false
-	}
-
-	// Pick the starting unit: prefer an indexed sargable predicate, then any
+	// Pick the starting unit: prefer a pinned equality seek, then any
 	// filtered unit, then the first.
 	start := -1
 	for i, u := range units {
-		if _, _, _, ok := sargableIndexed(u); ok {
+		if u.eqSeek() {
 			start = i
 			break
 		}
@@ -247,7 +170,7 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 		start = 0
 	}
 
-	builder, sc, n, err := c.compileUnit(units[start], parent, env, false, sargableIndexed)
+	builder, sc, n, err := c.compileUnit(units[start], parent, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -287,7 +210,7 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				if !okUnits || !refsCandidate {
 					continue
 				}
-				l, r, ok := eqSides(cj.expr)
+				l, r, ok := eqSides(cj.f.Pred)
 				if !ok {
 					continue
 				}
@@ -351,7 +274,7 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				if i == idxKey {
 					continue
 				}
-				s, err := c.compileExpr(cj.expr, combined, env)
+				s, err := c.compileExpr(cj.f.Pred, combined, env)
 				if err != nil {
 					return nil, nil, nil, err
 				}
@@ -367,7 +290,7 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 			sc = combined
 			width = sc.width()
 		} else {
-			rightBuilder, rightScope, rightNode, err := c.compileUnit(u, parent, env, false, sargableIndexed)
+			rightBuilder, rightScope, rightNode, err := c.compileUnit(u, parent, env)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -422,15 +345,9 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				continue
 			}
 			cj.applied = true
-			pred, err := c.compileExpr(cj.expr, sc, env)
-			if err != nil {
+			if builder, n, err = c.filter(builder, n, cj.f.Pred, cj.f.mark, sc, env); err != nil {
 				return nil, nil, nil, err
 			}
-			inner := builder
-			n = node(c.filterLabel(cj.expr), n)
-			builder = annotate(func(bc *buildCtx) exec.Operator {
-				return &exec.FilterOp{Child: inner(bc), Pred: pred}
-			}, n)
 		}
 	}
 
@@ -440,15 +357,9 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 			continue
 		}
 		cj.applied = true
-		pred, err := c.compileExpr(cj.expr, sc, env)
-		if err != nil {
+		if builder, n, err = c.filter(builder, n, cj.f.Pred, cj.f.mark, sc, env); err != nil {
 			return nil, nil, nil, err
 		}
-		inner := builder
-		n = node(c.filterLabel(cj.expr), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
 	}
 
 	// Restore the user-visible FROM column order if greedy ordering
@@ -509,164 +420,134 @@ func andScalars(preds []exec.Scalar) exec.Scalar {
 	}
 }
 
-// applyFilter wraps a builder with a WHERE filter (if any).
-func (c *compiler) applyFilter(builder opBuilder, n *Node, where ast.Expr, sc *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
-	if where == nil {
-		return builder, sc, n, nil
-	}
-	pred, err := c.compileExpr(where, sc, env)
+// filter wraps a builder with a Filter node for pred, labelled with the
+// rewrite mark of the filter it came from.
+func (c *compiler) filter(builder opBuilder, n *Node, pred ast.Expr, mark string, sc *scope, env *cteEnv) (opBuilder, *Node, error) {
+	p, err := c.compileExpr(pred, sc, env)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	inner := builder
-	fn := node(c.filterLabel(where), n)
-	builder = annotate(func(bc *buildCtx) exec.Operator {
-		return &exec.FilterOp{Child: inner(bc), Pred: pred}
-	}, fn)
-	return builder, sc, fn, nil
+	fn := node("Filter"+rwSuffix(mark), n)
+	return annotate(func(bc *buildCtx) exec.Operator {
+		return &exec.FilterOp{Child: builder(bc), Pred: p}
+	}, fn), fn, nil
+}
+
+// filters wraps a builder with one Filter node per filter, in order.
+func (c *compiler) filters(builder opBuilder, n *Node, fs []*lFilter, sc *scope, env *cteEnv) (opBuilder, *Node, error) {
+	for _, f := range fs {
+		var err error
+		if builder, n, err = c.filter(builder, n, f.Pred, f.mark, sc, env); err != nil {
+			return nil, nil, err
+		}
+	}
+	return builder, n, nil
+}
+
+// scanLeaf builds a table-reading leaf that a parallel aggregation can
+// redirect to one partition of a shared split (the explain node's identity
+// is the partition target).
+func scanLeaf(label string, open func() exec.Operator) (opBuilder, *Node) {
+	sn := node(label)
+	return annotate(func(bc *buildCtx) exec.Operator {
+		if p := bc.part; p != nil && p.target == sn {
+			return &exec.ParallelScanOp{Split: p.split, Part: p.index}
+		}
+		return open()
+	}, sn), sn
 }
 
 // compileUnit compiles one FROM unit with its assigned single-unit
-// predicates, choosing an index seek for a constant sargable predicate when
-// available. nlRight inserts a phantom scope level for units placed as the
-// right side of a nested-loop join.
-func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight bool,
-	sargable func(u *fromUnit) (string, ast.Expr, []ast.Expr, bool)) (opBuilder, *scope, *Node, error) {
-
-	unitParent := parent
-	if nlRight {
-		unitParent = &scope{parent: parent}
-	}
+// predicates, along the access path choose_access_path pinned on a base
+// scan.
+func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
 	var builder opBuilder
 	var n *Node
-	sc := &scope{parent: unitParent}
+	sc := &scope{parent: parent}
 	rest := u.preds
 
-	switch te := u.te.(type) {
-	case *ast.TableRef:
-		if lateBound(te.Name) {
-			tab, err := c.cat.ResolveTable(te.Name)
-			if err != nil {
+	switch t := u.node.(type) {
+	case *lScan:
+		tab, err := c.cat.ResolveTable(t.Name)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, col := range tab.Schema.Columns {
+			sc.add(u.binding, col.Name, col.Type)
+		}
+		switch {
+		case lateBound(t.Name):
+			name := t.Name
+			builder, n = scanLeaf("LateScan("+name+")", func() exec.Operator { return &exec.LateScanOp{Name: name} })
+		case t.hint != nil:
+			if builder, n, rest, err = c.compileHinted(u, t.hint, tab, parent, env); err != nil {
 				return nil, nil, nil, err
 			}
-			for _, col := range tab.Schema.Columns {
-				sc.add(u.binding, col.Name, col.Type)
-			}
-			name := te.Name
-			sn := node("LateScan(" + name + ")")
-			n = sn
+		default:
+			builder, n = scanLeaf("Scan("+tab.Name+")", func() exec.Operator { return &exec.ScanOp{Table: tab} })
+		}
+	case *lCTERef:
+		b := env.lookup(t.Name)
+		if b == nil {
+			return nil, nil, nil, errf("unknown CTE %s", t.Name)
+		}
+		for _, col := range b.cols {
+			sc.add(u.binding, col.Name, col.Type)
+		}
+		if b.deltaKey != nil {
+			key := b.deltaKey
+			n = node("DeltaScan(" + t.Name + ")")
 			builder = annotate(func(bc *buildCtx) exec.Operator {
-				if p := bc.part; p != nil && p.target == sn {
-					return &exec.ParallelScanOp{Split: p.split, Part: p.index}
-				}
-				return &exec.LateScanOp{Name: name}
-			}, sn)
-			break
-		}
-		if b := env.lookup(te.Name); b != nil {
-			for _, col := range b.cols {
-				sc.add(u.binding, col.Name, col.Type)
-			}
-			if b.deltaKey != nil {
-				key := b.deltaKey
-				n = node("DeltaScan(" + te.Name + ")")
-				builder = annotate(func(bc *buildCtx) exec.Operator {
-					return &exec.DeltaScanOp{Source: bc.delta(key)}
-				}, n)
-			} else {
-				var err error
-				builder, n, err = b.instantiate()
-				if err != nil {
-					return nil, nil, nil, err
-				}
-			}
+				return &exec.DeltaScanOp{Source: bc.delta(key)}
+			}, n)
 		} else {
-			tab, err := c.cat.ResolveTable(te.Name)
-			if err != nil {
+			var err error
+			if builder, n, err = b.instantiate(); err != nil {
 				return nil, nil, nil, err
 			}
-			for _, col := range tab.Schema.Columns {
-				sc.add(u.binding, col.Name, col.Type)
-			}
-			if h := c.accessHints[te]; h != nil {
-				hb, hn, hrest, err := c.compileHinted(u, h, tab, unitParent, env)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				builder, n, rest = hb, hn, hrest
-				break
-			}
-			if col, key, remaining, ok := sargable(u); ok {
-				keyScalar, err := c.compileExpr(key, &scope{parent: unitParent}, env)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				n = node(fmt.Sprintf("IndexSeek(%s.%s)", tab.Name, col) + c.rwSuffix(c.marks[consumedPred(u.preds, remaining)]))
-				builder = annotate(func(bc *buildCtx) exec.Operator {
-					return &exec.IndexSeekOp{Table: tab, Column: col, Key: keyScalar}
-				}, n)
-				rest = remaining
-			} else {
-				sn := node("Scan(" + tab.Name + ")")
-				n = sn
-				builder = annotate(func(bc *buildCtx) exec.Operator {
-					if p := bc.part; p != nil && p.target == sn {
-						return &exec.ParallelScanOp{Split: p.split, Part: p.index}
-					}
-					return &exec.ScanOp{Table: tab}
-				}, sn)
-			}
 		}
-	case *ast.SubqueryRef:
-		b, cols, sn, err := c.compileSelect(te.Query, unitParent, env)
+	case *lDerived:
+		b, cols, sn, err := c.compileLogical(t.Child, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		for _, cn := range cols {
 			sc.add(u.binding, cn, sqltypes.Unknown)
 		}
-		n = node("Derived("+te.Alias+")"+c.rwSuffix(c.selMarks[te.Query]), sn)
+		n = node("Derived("+t.Alias+")"+rwSuffix(t.mark), sn)
 		builder = annotate(b, n)
-	case *ast.Join:
-		b, jsc, jn, err := c.compileJoinExpr(te, unitParent, env)
+	case *lJoin:
+		b, jsc, jn, err := c.compileJoinExpr(t, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		builder = b
-		sc = jsc
-		n = jn
+		builder, sc, n = b, jsc, jn
 	default:
-		return nil, nil, nil, errf("unknown table expression %T", u.te)
+		return nil, nil, nil, errf("unknown table expression %T", u.node)
 	}
 
-	for _, p := range rest {
-		pred, err := c.compileExpr(p, sc, env)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		inner := builder
-		n = node(c.filterLabel(p), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
-	}
-	return builder, sc, n, nil
+	builder, n, err := c.filters(builder, n, rest, sc, env)
+	return builder, sc, n, err
 }
 
 // compileHinted compiles a base-table unit along the access path the
 // choose_access_path pass pinned on it: a forced full scan, an index
 // equality seek, or an ordered-index range seek. Predicates whose work the
-// chosen path absorbs are dropped from the residual filter list.
-func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table, unitParent *scope, env *cteEnv) (opBuilder, *Node, []ast.Expr, error) {
-	rule := ruleName(RuleChooseAccessPath)
+// chosen path absorbs are dropped from the residual filter list. Seek keys
+// and bounds see only the enclosing scopes.
+func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table, parent *scope, env *cteEnv) (opBuilder, *Node, []*lFilter, error) {
+	label := rwSuffix(h.mark)
+	if h.cost > 0 {
+		label += costSuffix(h.cost)
+	}
+	outer := &scope{parent: parent}
 	switch h.kind {
 	case accessEq:
-		keyScalar, err := c.compileExpr(h.key, &scope{parent: unitParent}, env)
+		keyScalar, err := c.compileExpr(h.key, outer, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		mark := addMark(c.marks[h.eqConj], rule)
-		n := node(fmt.Sprintf("IndexSeek(%s.%s)", tab.Name, h.col) + c.rwSuffix(mark) + costSuffix(h.cost))
+		n := node(fmt.Sprintf("IndexSeek(%s.%s)", tab.Name, h.col) + label)
 		builder := annotate(func(bc *buildCtx) exec.Operator {
 			return &exec.IndexSeekOp{Table: tab, Column: h.col, Key: keyScalar}
 		}, n)
@@ -675,76 +556,35 @@ func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table,
 		var lo, hi exec.Scalar
 		var err error
 		if h.lo != nil {
-			if lo, err = c.compileExpr(h.lo, &scope{parent: unitParent}, env); err != nil {
+			if lo, err = c.compileExpr(h.lo, outer, env); err != nil {
 				return nil, nil, nil, err
 			}
 		}
 		if h.hi != nil {
-			if hi, err = c.compileExpr(h.hi, &scope{parent: unitParent}, env); err != nil {
+			if hi, err = c.compileExpr(h.hi, outer, env); err != nil {
 				return nil, nil, nil, err
 			}
 		}
-		mark := ""
-		for _, cj := range []ast.Expr{h.loConj, h.hiConj} {
-			if cj != nil && c.marks[cj] != "" {
-				mark = addMark(mark, c.marks[cj])
-			}
-		}
-		mark = addMark(mark, rule)
-		n := node(fmt.Sprintf("RangeSeek(%s.%s)", tab.Name, h.col) + c.rwSuffix(mark) + costSuffix(h.cost))
+		n := node(fmt.Sprintf("RangeSeek(%s.%s)", tab.Name, h.col) + label)
 		builder := annotate(func(bc *buildCtx) exec.Operator {
 			return &exec.RangeSeekOp{Table: tab, Column: h.col, Lo: lo, Hi: hi, LoStrict: h.loStrict, HiStrict: h.hiStrict}
 		}, n)
 		return builder, n, withoutPreds(u.preds, h.loConj, h.hiConj), nil
 	}
-	// Forced full scan: cheaper than any seek candidate. Keep the node
-	// identity usable as a parallel-scan partition target, exactly like an
-	// unhinted scan.
-	sn := node("Scan(" + tab.Name + ")" + c.rwSuffix(rule) + costSuffix(h.cost))
-	builder := annotate(func(bc *buildCtx) exec.Operator {
-		if p := bc.part; p != nil && p.target == sn {
-			return &exec.ParallelScanOp{Split: p.split, Part: p.index}
-		}
-		return &exec.ScanOp{Table: tab}
-	}, sn)
-	return builder, sn, u.preds, nil
+	// Forced full scan: cheaper than any seek candidate.
+	builder, n := scanLeaf("Scan("+tab.Name+")"+label, func() exec.Operator { return &exec.ScanOp{Table: tab} })
+	return builder, n, u.preds, nil
 }
 
-// withoutPreds filters preds down to the members not absorbed by a seek,
-// compared by pointer.
-func withoutPreds(preds []ast.Expr, drop ...ast.Expr) []ast.Expr {
-	var out []ast.Expr
+// withoutPreds filters preds down to the members not absorbed by a seek.
+func withoutPreds(preds []*lFilter, drop ...*lFilter) []*lFilter {
+	var out []*lFilter
 	for _, p := range preds {
-		used := false
-		for _, d := range drop {
-			if d != nil && d == p {
-				used = true
-				break
-			}
-		}
-		if !used {
+		if !slices.Contains(drop, p) {
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// consumedPred returns the predicate an index seek absorbed: the one member
-// of preds missing from remaining (nil when none), compared by pointer.
-func consumedPred(preds, remaining []ast.Expr) ast.Expr {
-	for _, p := range preds {
-		used := false
-		for _, r := range remaining {
-			if r == p {
-				used = true
-				break
-			}
-		}
-		if !used {
-			return p
-		}
-	}
-	return nil
 }
 
 // compileUnitSeek compiles a unit as the right side of an index nested-loop
@@ -759,8 +599,7 @@ func (c *compiler) compileUnitSeek(u *fromUnit, parent *scope, env *cteEnv, col 
 		return nil, nil, nil, err
 	}
 	tab := u.tab
-	unitParent := &scope{parent: parent}
-	sc := &scope{parent: unitParent}
+	sc := &scope{parent: &scope{parent: parent}}
 	for _, cdef := range tab.Schema.Columns {
 		sc.add(u.binding, cdef.Name, cdef.Type)
 	}
@@ -768,40 +607,31 @@ func (c *compiler) compileUnitSeek(u *fromUnit, parent *scope, env *cteEnv, col 
 	builder := annotate(func(bc *buildCtx) exec.Operator {
 		return &exec.IndexSeekOp{Table: tab, Column: col, Key: keyScalar}
 	}, n)
-	for _, p := range u.preds {
-		pred, err := c.compileExpr(p, sc, env)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		inner := builder
-		n = node(c.filterLabel(p), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
-	}
-	return builder, sc, n, nil
+	builder, n, err = c.filters(builder, n, u.preds, sc, env)
+	return builder, sc, n, err
 }
 
 // compileJoinExpr compiles an explicit ANSI join tree.
-func (c *compiler) compileJoinExpr(j *ast.Join, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
-	leftB, leftSc, leftN, err := c.compileTableSource(j.L, parent, env)
+func (c *compiler) compileJoinExpr(j *lJoin, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
+	lUnit, err := c.newFromUnit(0, j.L, env)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	rUnit, err := c.newFromUnit(1, j.R, env)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	leftB, leftSc, leftN, err := c.compileUnit(lUnit, parent, env)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	suffix := ""
+	if j.mark != "" {
+		suffix = rwSuffix(j.mark) + costSuffix(j.cost)
 	}
 
 	// Try to split the ON condition into equi-key pairs.
-	leftNames, err := c.outputNames(j.L, env)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rightNames, err := c.outputNames(j.R, env)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	lUnit := &fromUnit{te: j.L, binding: ast.BindingName(j.L), cols: leftNames}
-	rUnit := &fromUnit{te: j.R, binding: ast.BindingName(j.R), cols: rightNames}
 	pair := []*fromUnit{lUnit, rUnit}
-
 	var eqL, eqR, residual []ast.Expr
 	for _, cj := range splitConjuncts(j.On) {
 		l, r, ok := eqSides(cj)
@@ -824,7 +654,7 @@ func (c *compiler) compileJoinExpr(j *ast.Join, parent *scope, env *cteEnv) (opB
 
 	if len(eqL) > 0 {
 		// Hash join (no outer-level shift for the right side).
-		rightB, rightSc, rightN, err := c.compileTableSource(j.R, parent, env)
+		rightB, rightSc, rightN, err := c.compileUnit(rUnit, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -852,7 +682,7 @@ func (c *compiler) compileJoinExpr(j *ast.Join, parent *scope, env *cteEnv) (opB
 		}
 		lw, rw := leftSc.width(), rightSc.width()
 		outer := j.Kind == ast.JoinLeft
-		jn := node("HashJoin("+j.Kind.String()+")"+c.joinMarks[j], leftN, rightN)
+		jn := node("HashJoin("+j.Kind.String()+")"+suffix, leftN, rightN)
 		builder := annotate(func(bc *buildCtx) exec.Operator {
 			return &exec.HashJoinOp{
 				Left: leftB(bc), Right: rightB(bc),
@@ -866,7 +696,7 @@ func (c *compiler) compileJoinExpr(j *ast.Join, parent *scope, env *cteEnv) (opB
 
 	// Nested-loop join; the right side is re-opened per left row with the
 	// left row pushed one outer level down.
-	rightB, rightSc, rightN, err := c.compileTableSource(j.R, &scope{parent: parent}, env)
+	rightB, rightSc, rightN, err := c.compileUnit(rUnit, &scope{parent: parent}, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -881,26 +711,9 @@ func (c *compiler) compileJoinExpr(j *ast.Join, parent *scope, env *cteEnv) (opB
 	}
 	lw, rw := leftSc.width(), rightSc.width()
 	outer := j.Kind == ast.JoinLeft
-	jn := node("NLJoin("+j.Kind.String()+")"+c.joinMarks[j], leftN, rightN)
+	jn := node("NLJoin("+j.Kind.String()+")"+suffix, leftN, rightN)
 	builder := annotate(func(bc *buildCtx) exec.Operator {
 		return &exec.NLJoinOp{Left: leftB(bc), Right: rightB(bc), LeftWidth: lw, RightWidth: rw, On: on, LeftOuter: outer}
 	}, jn)
 	return builder, combined, jn, nil
-}
-
-// compileTableSource compiles a table expression without predicate
-// assignment (explicit-join children).
-func (c *compiler) compileTableSource(te ast.TableExpr, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
-	cols, err := c.outputNames(te, env)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	u := &fromUnit{te: te, binding: ast.BindingName(te), cols: cols}
-	if tr, ok := te.(*ast.TableRef); ok && env.lookup(tr.Name) == nil && !lateBound(tr.Name) {
-		if tab, err := c.cat.ResolveTable(tr.Name); err == nil {
-			u.tab = tab
-		}
-	}
-	noSarg := func(*fromUnit) (string, ast.Expr, []ast.Expr, bool) { return "", nil, nil, false }
-	return c.compileUnit(u, parent, env, false, noSarg)
 }

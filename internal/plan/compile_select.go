@@ -11,28 +11,26 @@ import (
 	"aggify/internal/storage"
 )
 
-// Compile compiles a SELECT query into a reusable Plan: decorrelation, then
-// the logical rewrite pass (logical.go + rewrite.go), then physical
-// compilation of the normalized AST.
+// Compile compiles a SELECT query into a reusable Plan: decorrelation,
+// then every query block through the per-block pipeline of compileSelect.
 func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	sc := &stampingCatalog{inner: cat, seen: map[*storage.Table]uint64{}}
 	c := &compiler{cat: sc, opts: opts}
 	if !opts.DisableDecorrelation {
 		q = DecorrelateSelect(c, q)
 	}
-	rq, rewrites := c.rewriteSelect(q)
-	builder, cols, n, err := c.compileSelect(rq, nil, nil)
-	if err != nil && len(rewrites) > 0 {
+	builder, cols, n, err := c.compileSelect(q, nil, nil)
+	if err != nil && len(c.fired) > 0 {
 		// A rewritten query must never fail where the original compiles;
 		// fall back so a rule bug degrades to a missed optimization.
-		c2 := &compiler{cat: sc, opts: opts}
-		builder, cols, n, err = c2.compileSelect(q, nil, nil)
-		rewrites = nil
+		opts.DisableRules = RuleAll
+		c = &compiler{cat: sc, opts: opts}
+		builder, cols, n, err = c.compileSelect(q, nil, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Stamps: sc.stamps()}
+	p := &Plan{Columns: cols, Explain: n, build: builder, Rewrites: c.firedList(), Stamps: sc.stamps()}
 	p.Parallel, p.Batched = planShape(n)
 	return p, nil
 }
@@ -58,27 +56,51 @@ func planShape(n *Node) (parallel, batched bool) {
 	return parallel, batched
 }
 
-// compileSelect compiles a query (with CTEs and UNION ALL) against an
-// enclosing scope. It returns the operator builder, output column names,
-// and the explain node.
+// compileSelect plans one SELECT — the top-level query, a CTE body, or a
+// subquery inside an expression — through the per-block pipeline: build
+// the logical IR from a private copy, run the rewrite pass over it, and
+// compile physical operators from the rewritten nodes. It returns the
+// operator builder, output column names, and the explain node.
 func (c *compiler) compileSelect(q *ast.Select, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
-	var err error
-	if env, err = c.registerCTEs(q, parent, env); err != nil {
+	n, err := c.buildLogical(ast.CloneSelect(q), env)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if q.Union == nil {
-		builder, outSc, n, err := c.compileCore(q, parent, env, q.OrderBy, q.Top)
+	return c.compileLogical(c.rewrite(n), parent, env)
+}
+
+// compileLogical compiles a rewritten select root — [With] → [Top] →
+// [Sort] → block spine or UNION ALL SetOp — against an enclosing scope.
+func (c *compiler) compileLogical(n lNode, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
+	if w, ok := n.(*lWith); ok {
+		var err error
+		if env, err = c.registerCTEs(w.Defs, parent, env); err != nil {
+			return nil, nil, nil, err
+		}
+		n = w.In
+	}
+	var top ast.Expr
+	var orderBy []ast.OrderItem
+	if t, ok := n.(*lTop); ok {
+		top, n = t.N, t.In
+	}
+	if s, ok := n.(*lSort); ok {
+		orderBy, n = s.Keys, s.In
+	}
+	set, ok := n.(*lSetOp)
+	if !ok {
+		builder, outSc, bn, err := c.compileCore(n, parent, env, orderBy, top)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return builder, outSc.names(), n, nil
+		return builder, outSc.names(), bn, nil
 	}
 	// UNION ALL: compile each branch core, concatenate, then order/top.
 	var builders []opBuilder
 	var nodes []*Node
 	var outSc *scope
-	for branch := q; branch != nil; branch = branch.Union {
-		b, sc, n, err := c.compileCore(branch, parent, env, nil, nil)
+	for _, branch := range set.Branches {
+		b, sc, bn, err := c.compileCore(branch, parent, env, nil, nil)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -88,27 +110,26 @@ func (c *compiler) compileSelect(q *ast.Select, parent *scope, env *cteEnv) (opB
 			return nil, nil, nil, errf("UNION ALL branches have different column counts (%d vs %d)", outSc.width(), sc.width())
 		}
 		builders = append(builders, b)
-		nodes = append(nodes, n)
+		nodes = append(nodes, bn)
 	}
-	n := node("UnionAll", nodes...)
+	un := node("UnionAll", nodes...)
 	builder := annotate(func(bc *buildCtx) exec.Operator {
 		children := make([]exec.Operator, len(builders))
 		for i, b := range builders {
 			children[i] = b(bc)
 		}
 		return &exec.ConcatOp{Children: children}
-	}, n)
-	builder, n, err = c.applyOrderTop(builder, n, outSc, q.OrderBy, q.Top, env)
+	}, un)
+	builder, un, err := c.applyOrderTop(builder, un, outSc, orderBy, top, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return builder, outSc.names(), n, nil
+	return builder, outSc.names(), un, nil
 }
 
-// registerCTEs binds the query's WITH clause into a new environment.
-func (c *compiler) registerCTEs(q *ast.Select, parent *scope, env *cteEnv) (*cteEnv, error) {
-	for i := range q.With {
-		cte := q.With[i]
+// registerCTEs binds a WITH clause's definitions into a new environment.
+func (c *compiler) registerCTEs(defs []ast.CTE, parent *scope, env *cteEnv) (*cteEnv, error) {
+	for _, cte := range defs {
 		b, err := c.compileCTE(cte, parent, env)
 		if err != nil {
 			return nil, err
@@ -338,6 +359,29 @@ func (c *compiler) findAggCalls(e ast.Expr, into *[]aggCall, seen map[string]boo
 	return nil
 }
 
+// blockAggs collects the distinct aggregate calls of one block, in order of
+// appearance: its projection, then exprs (HAVING), then its ORDER BY keys.
+func (c *compiler) blockAggs(items []ast.SelectItem, exprs []ast.Expr, orderBy []ast.OrderItem) ([]aggCall, error) {
+	var all []ast.Expr
+	for _, it := range items {
+		if !it.Star {
+			all = append(all, it.Expr)
+		}
+	}
+	all = append(all, exprs...)
+	for _, o := range orderBy {
+		all = append(all, o.Expr)
+	}
+	var aggs []aggCall
+	seen := map[string]bool{}
+	for _, e := range all {
+		if err := c.findAggCalls(e, &aggs, seen); err != nil {
+			return nil, err
+		}
+	}
+	return aggs, nil
+}
+
 // substPostAgg rewrites e so that group-by expressions and aggregate calls
 // become references to the synthetic post-aggregation columns ("#agg".#N).
 func substPostAgg(e ast.Expr, keyIndex map[string]int, aggIndex map[string]int, nKeys int) ast.Expr {
@@ -392,54 +436,43 @@ func substPostAgg(e ast.Expr, keyIndex map[string]int, aggIndex map[string]int, 
 	}
 }
 
-// compileCore compiles one SELECT block (no UNION handling) including its
-// projection, aggregation, DISTINCT, and — when orderBy/top are passed —
-// ordering and limiting.
-func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderBy []ast.OrderItem, top ast.Expr) (opBuilder, *scope, *Node, error) {
-	builder, inScope, n, err := c.compileFrom(q.From, q.Where, parent, env)
+// compileCore compiles one query block spine (rooted at its lProject)
+// including its projection, aggregation, DISTINCT, and — when orderBy/top
+// are passed — ordering and limiting.
+func (c *compiler) compileCore(root lNode, parent *scope, env *cteEnv, orderBy []ast.OrderItem, top ast.Expr) (opBuilder, *scope, *Node, error) {
+	p, ok := root.(*lProject)
+	if !ok {
+		return nil, nil, nil, errf("malformed logical plan %T", root)
+	}
+	sp := spineOf(p)
+	builder, inScope, n, err := c.compileFrom(sp.from, sp.where, parent, env)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	aggs, err := c.blockAggs(p.Items, predsOf(sp.having), orderBy)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	// Collect aggregate calls from projection, HAVING, and ORDER BY.
-	var aggs []aggCall
-	seen := map[string]bool{}
-	for _, it := range q.Items {
-		if it.Star {
-			continue
-		}
-		if err := c.findAggCalls(it.Expr, &aggs, seen); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := c.findAggCalls(q.Having, &aggs, seen); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, o := range orderBy {
-		if err := c.findAggCalls(o.Expr, &aggs, seen); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	items := q.Items
-	having := q.Having
+	items := p.Items
 	curScope := inScope
-	if len(aggs) > 0 || len(q.GroupBy) > 0 {
-		builder, curScope, n, err = c.compileAggregation(q, builder, inScope, n, env, aggs)
+	if sp.agg != nil {
+		builder, curScope, n, err = c.compileAggregation(sp, builder, inScope, n, env, aggs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		// Rewrite items / having / order-by to reference post-agg columns.
+		groupBy := sp.agg.GroupBy
 		keyIndex := map[string]int{}
-		for i, g := range q.GroupBy {
+		for i, g := range groupBy {
 			keyIndex[g.String()] = i
 		}
 		aggIndex := map[string]int{}
 		for j, a := range aggs {
 			aggIndex[a.key] = j
 		}
-		items = make([]ast.SelectItem, len(q.Items))
-		for i, it := range q.Items {
+		items = make([]ast.SelectItem, len(p.Items))
+		for i, it := range p.Items {
 			if it.Star {
 				return nil, nil, nil, errf("SELECT * is not allowed with aggregation")
 			}
@@ -451,17 +484,16 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 			if cr, ok := it.Expr.(*ast.ColRef); ok && alias == "" {
 				alias = cr.Name
 			}
-			items[i] = ast.SelectItem{Expr: substPostAgg(it.Expr, keyIndex, aggIndex, len(q.GroupBy)), Alias: alias}
+			items[i] = ast.SelectItem{Expr: substPostAgg(it.Expr, keyIndex, aggIndex, len(groupBy)), Alias: alias}
 		}
-		having = substPostAgg(q.Having, keyIndex, aggIndex, len(q.GroupBy))
 		if len(orderBy) > 0 {
 			rewritten := make([]ast.OrderItem, len(orderBy))
 			for i, o := range orderBy {
-				rewritten[i] = ast.OrderItem{Expr: substPostAgg(o.Expr, keyIndex, aggIndex, len(q.GroupBy)), Desc: o.Desc}
+				rewritten[i] = ast.OrderItem{Expr: substPostAgg(o.Expr, keyIndex, aggIndex, len(groupBy)), Desc: o.Desc}
 			}
 			orderBy = rewritten
 		}
-		if having != nil {
+		if having := substPostAgg(ast.And(predsOf(sp.having)...), keyIndex, aggIndex, len(groupBy)); having != nil {
 			pred, err := c.compileExpr(having, curScope, env)
 			if err != nil {
 				return nil, nil, nil, err
@@ -472,8 +504,6 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 				return &exec.FilterOp{Child: inner(bc), Pred: pred}
 			}, n)
 		}
-	} else if q.Having != nil {
-		return nil, nil, nil, errf("HAVING requires aggregation")
 	}
 
 	// Common-subquery elimination: when the projection evaluates textually
@@ -481,8 +511,7 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 	// Froid inliner produces for Aggify's guarded rewrites), hoist each
 	// distinct subquery into a shared pre-projection so it runs once per
 	// row.
-	if len(aggs) == 0 && len(q.GroupBy) == 0 {
-		var err error
+	if sp.agg == nil {
 		builder, curScope, items, n, err = c.hoistCommonSubqueries(builder, curScope, items, env, n)
 		if err != nil {
 			return nil, nil, nil, err
@@ -578,7 +607,7 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 		return &exec.ProjectOp{Child: inner(bc), Exprs: scalars}
 	}, n)
 
-	if q.Distinct {
+	if p.Distinct {
 		if len(proj) > hiddenStart {
 			return nil, nil, nil, errf("DISTINCT with ORDER BY on non-projected expressions is not supported")
 		}
@@ -782,9 +811,10 @@ func (c *compiler) applyOrderTop(builder opBuilder, n *Node, outSc *scope, order
 // compileAggregation builds the aggregation operator for a query block and
 // returns the post-aggregation scope ("#agg".#N columns: group keys first,
 // then one per distinct aggregate call).
-func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *scope, n *Node, env *cteEnv, aggs []aggCall) (opBuilder, *scope, *Node, error) {
-	groupKeys := make([]exec.Scalar, len(q.GroupBy))
-	for i, g := range q.GroupBy {
+func (c *compiler) compileAggregation(sp blockSpine, input opBuilder, inScope *scope, n *Node, env *cteEnv, aggs []aggCall) (opBuilder, *scope, *Node, error) {
+	groupBy := sp.agg.GroupBy
+	groupKeys := make([]exec.Scalar, len(groupBy))
+	for i, g := range groupBy {
 		s, err := c.compileExpr(g, inScope, env)
 		if err != nil {
 			return nil, nil, nil, err
@@ -794,9 +824,9 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 	// Resolve group keys (and below, aggregate arguments) to input ordinals
 	// where they are plain column references: the vectorized fold then reads
 	// them straight out of batch columns instead of evaluating scalars per row.
-	groupOrds := ordsOf(q.GroupBy, inScope)
+	groupOrds := ordsOf(groupBy, inScope)
 	instances := make([]exec.AggInstance, len(aggs))
-	orderSensitive := q.OrderEnforced
+	orderSensitive := sp.proj.OrderEnforced
 	allMergeable := true
 	allParallelSafe := true
 	for i, a := range aggs {
@@ -823,11 +853,8 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		instances[i] = inst
 	}
 	outScope := &scope{parent: inScope.parent}
-	for i := range q.GroupBy {
+	for i := range len(groupBy) + len(aggs) {
 		outScope.add("#agg", fmt.Sprintf("#%d", i), sqltypes.Unknown)
-	}
-	for j := range aggs {
-		outScope.add("#agg", fmt.Sprintf("#%d", len(q.GroupBy)+j), sqltypes.Unknown)
 	}
 	names := make([]string, len(aggs))
 	for i, a := range aggs {
@@ -844,7 +871,7 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		builder = func(bc *buildCtx) exec.Operator {
 			return &exec.StreamAggOp{Child: input(bc), GroupKeys: groupKeys, Aggs: instances}
 		}
-		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
+		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(groupBy), argList)
 		if wantParallel {
 			label += " [serial: order-sensitive aggregate]"
 		}
@@ -862,7 +889,7 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 			case !allParallelSafe:
 				serialReason = "aggregate not parallel-safe"
 			default:
-				scanLeaf, scanTab, serialReason = c.parallelInput(q, n, aggs)
+				scanLeaf, scanTab, serialReason = c.parallelInput(sp, n, aggs)
 			}
 		}
 		if wantParallel && serialReason == "" {
@@ -882,18 +909,18 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 				}
 				return &exec.ParallelAggOp{Parts: parts, GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
 			}
-			label = fmt.Sprintf("ParallelAgg(workers=%d, keys=%d, aggs=[%s])", workers, len(q.GroupBy), argList)
+			label = fmt.Sprintf("ParallelAgg(workers=%d, keys=%d, aggs=[%s])", workers, len(groupBy), argList)
 			scanLeaf.Op = fmt.Sprintf("ParallelScan(%s, parts=%d)", tab.Name, workers)
-			label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
+			label += c.batchSuffix(n, len(groupBy), groupOrds, instances)
 		} else {
 			builder = func(bc *buildCtx) exec.Operator {
 				return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
 			}
-			label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
+			label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(groupBy), argList)
 			if wantParallel {
 				label += " [serial: " + serialReason + "]"
 			}
-			label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
+			label += c.batchSuffix(n, len(groupBy), groupOrds, instances)
 		}
 	}
 	an := node(label, n)
@@ -973,7 +1000,7 @@ const parallelRowThreshold = 4096
 // any expression a worker would evaluate (those run interpreted bodies on
 // the owning session, which is single-threaded). It returns the scan leaf's
 // explain node and table, or a human-readable reason for staying serial.
-func (c *compiler) parallelInput(q *ast.Select, n *Node, aggs []aggCall) (*Node, *storage.Table, string) {
+func (c *compiler) parallelInput(sp blockSpine, n *Node, aggs []aggCall) (*Node, *storage.Table, string) {
 	const notPartitionable = "plan shape not partitionable"
 	leaf := n
 	// Prefix matches: Filter and Derived labels may carry ` [rw:rule]`
@@ -987,11 +1014,11 @@ func (c *compiler) parallelInput(q *ast.Select, n *Node, aggs []aggCall) (*Node,
 	if !strings.HasPrefix(leaf.Op, "Scan(") || len(leaf.Children) != 0 {
 		return nil, nil, notPartitionable
 	}
-	tab, reason := c.parallelFrom(q)
+	tab, reason := c.parallelFrom(sp.from)
 	if reason != "" {
 		return nil, nil, reason
 	}
-	exprs := append([]ast.Expr{q.Where}, q.GroupBy...)
+	exprs := append(predsOf(sp.where), sp.agg.GroupBy...)
 	for _, a := range aggs {
 		if !a.call.Star {
 			exprs = append(exprs, a.call.Args...)
@@ -1006,45 +1033,44 @@ func (c *compiler) parallelInput(q *ast.Select, n *Node, aggs []aggCall) (*Node,
 	return leaf, tab, ""
 }
 
-// parallelFrom resolves an aggregation query's FROM chain down to its base
-// table, descending through trivial derived tables (single source, no
-// DISTINCT/TOP/GROUP BY/HAVING/ORDER BY/UNION) and vetting every nested
-// expression a worker would evaluate. It returns the base table or a reason
-// for staying serial.
-func (c *compiler) parallelFrom(q *ast.Select) (*storage.Table, string) {
+// parallelFrom resolves an aggregation block's FROM chain down to its base
+// table, descending through trivial derived tables (a plain block spine: no
+// DISTINCT/TOP/GROUP BY/HAVING/ORDER BY/UNION/WITH) and vetting every
+// nested expression a worker would evaluate. It returns the base table or a
+// reason for staying serial.
+func (c *compiler) parallelFrom(from lNode) (*storage.Table, string) {
 	const notPartitionable = "plan shape not partitionable"
 	for {
-		if len(q.From) != 1 {
-			return nil, notPartitionable
-		}
-		switch ref := q.From[0].(type) {
-		case *ast.TableRef:
-			if lateBound(ref.Name) {
+		switch t := from.(type) {
+		case *lScan:
+			if lateBound(t.Name) {
 				// Table variables / temp tables are late-bound per
 				// invocation, so their size is unknown at plan time; keep
 				// them serial.
 				return nil, "late-bound table"
 			}
-			tab, err := c.cat.ResolveTable(ref.Name)
+			tab, err := c.cat.ResolveTable(t.Name)
 			if err != nil {
 				return nil, notPartitionable
 			}
 			return tab, ""
-		case *ast.SubqueryRef:
-			inner := ref.Query
-			if inner == nil || len(inner.With) > 0 || inner.Distinct || inner.Top != nil ||
-				len(inner.GroupBy) > 0 || inner.Having != nil || len(inner.OrderBy) > 0 ||
-				inner.Union != nil {
+		case *lDerived:
+			p, ok := t.Child.(*lProject)
+			if !ok || p.Distinct {
 				return nil, notPartitionable
 			}
-			exprs := []ast.Expr{inner.Where}
-			for _, it := range inner.Items {
+			sp := spineOf(p)
+			if sp.agg != nil {
+				return nil, notPartitionable
+			}
+			exprs := predsOf(sp.where)
+			for _, it := range p.Items {
 				exprs = append(exprs, it.Expr)
 			}
 			if unsafe := c.workerUnsafe(exprs); unsafe != "" {
 				return nil, unsafe
 			}
-			q = inner
+			from = sp.from
 		default:
 			return nil, notPartitionable
 		}

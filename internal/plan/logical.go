@@ -1,26 +1,28 @@
-// Logical-plan IR: a small relational algebra sitting between the AST and
-// physical compilation. Compile builds it from the (already decorrelated)
-// SELECT, the rewrite pass (rewrite.go) normalizes it, and lowering turns it
-// back into a canonical AST the existing physical compiler consumes — so
-// every physical decision (index selection, join algorithm, parallel
-// eligibility) keeps working on the tree it already understands.
-//
-// The IR is deliberately lossless and conservative: buildLogical refuses any
-// shape it cannot round-trip exactly (ok=false), in which case the rewrite
-// pass is skipped and the query compiles from the original AST. Blocks have
-// a fixed spine, innermost to outermost:
+// Logical-plan IR: a small relational algebra between the AST and physical
+// operators. Every SELECT block — the top-level query, derived tables, CTE
+// bodies, UNION ALL branches, and scalar/EXISTS/IN subqueries — is planned
+// by one pipeline: buildLogical turns the AST into the IR, the rewrite pass
+// (rewrite.go, access.go) normalizes it and pins access paths and join
+// orders on the nodes, and the physical compiler (compile_*.go) builds
+// operators straight from the rewritten nodes, reading the rewrite marks
+// and access hints off them. Blocks have a fixed spine, innermost to
+// outermost:
 //
 //	From → Filter* (WHERE) → [Aggregate → Filter* (HAVING)] → Project
-//	     → [Apply] → [Sort] → [Top] → [With]
+//	     → [Sort] → [Top] → [With]
 //
 // where From is a Scan, CTERef, Derived, Join tree, or Cross of those.
 // UNION ALL chains become a SetOp of per-branch spines under the head's
-// Sort/Top/With wrappers. CTE bodies are carried opaquely (they see only
-// outer scopes, so block-local rules cannot touch them safely).
+// Sort/Top/With wrappers. CTE bodies and subqueries inside expressions stay
+// AST: each is planned through the same pipeline when the compiler reaches
+// it (CTE bodies see only outer scopes, so block-local rules cannot touch
+// them from here).
 package plan
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"aggify/internal/ast"
 )
@@ -71,7 +73,8 @@ type lCross struct {
 // --- spine nodes ---
 
 // lFilter applies one conjunct. WHERE conjuncts stack directly above the
-// From construct; HAVING conjuncts stack above the lAggregate.
+// From construct; HAVING conjuncts stack above the lAggregate. The first
+// conjunct of the source clause is innermost.
 type lFilter struct {
 	In   lNode
 	Pred ast.Expr
@@ -90,17 +93,8 @@ type lProject struct {
 	In       lNode
 	Items    []ast.SelectItem
 	Distinct bool
-	// OrderEnforced carries the Aggify Eq. 6 flag of the source block so
-	// lowering restores it verbatim.
+	// OrderEnforced carries the Aggify Eq. 6 flag of the source block.
 	OrderEnforced bool
-}
-
-// lApply marks a block whose projection evaluates embedded subqueries
-// (correlated or not): the physical compiler runs them per row, so rules
-// must not change how many rows reach the projection... which none of the
-// current rules do above a Project; the node mostly documents the shape.
-type lApply struct {
-	In lNode
 }
 
 // lSort is an ORDER BY.
@@ -115,18 +109,16 @@ type lTop struct {
 	N  ast.Expr
 }
 
-// lWith scopes CTE definitions (bodies carried opaquely).
+// lWith scopes CTE definitions (bodies carried as AST).
 type lWith struct {
 	In   lNode
 	Defs []ast.CTE
 }
 
-// lSetOp is a UNION ALL chain. origs keeps each branch's source Select so
-// lowering can restore fields the physical compiler ignores on non-head
-// branches (their own With/OrderBy/Top) without the IR modeling them.
+// lSetOp is a UNION ALL chain. Non-head branches' own WITH, ORDER BY and
+// TOP are not modeled: only the head's apply to the union.
 type lSetOp struct {
 	Branches []lNode
-	origs    []*ast.Select
 }
 
 func (*lScan) lnode()      {}
@@ -137,53 +129,50 @@ func (*lCross) lnode()     {}
 func (*lFilter) lnode()    {}
 func (*lAggregate) lnode() {}
 func (*lProject) lnode()   {}
-func (*lApply) lnode()     {}
 func (*lSort) lnode()      {}
 func (*lTop) lnode()       {}
 func (*lWith) lnode()      {}
 func (*lSetOp) lnode()     {}
 
-// buildLogical turns a SELECT into the IR, or reports ok=false for any shape
-// that would not round-trip exactly (the caller then skips the rewrite pass).
-func (c *compiler) buildLogical(q *ast.Select) (lNode, bool) {
-	return c.buildLogicalSelect(q, nil)
+// buildLogical turns a SELECT into the IR. The IR aliases q's expressions
+// and rules rewrite them in place, so callers pass a private copy. Table
+// references naming a CTE bound in env (or in an enclosing WITH of q)
+// become lCTERefs, exactly as the compiler's cteEnv will resolve them.
+func (c *compiler) buildLogical(q *ast.Select, env *cteEnv) (lNode, error) {
+	var cteScope []string
+	for e := env; e != nil; e = e.parent {
+		cteScope = append(cteScope, e.binding.name)
+	}
+	return c.buildLogicalSelect(q, cteScope)
 }
 
 // buildLogicalSelect builds the wrapper stack + block spine (or SetOp of
-// spines) for one SELECT. cteScope lists CTE names visible at this point so
-// TableRefs classify as lCTERef vs lScan the same way the compiler's cteEnv
-// will.
-func (c *compiler) buildLogicalSelect(q *ast.Select, cteScope []string) (lNode, bool) {
+// spines) for one SELECT. cteScope lists the CTE names visible at this
+// point.
+func (c *compiler) buildLogicalSelect(q *ast.Select, cteScope []string) (lNode, error) {
 	scope := cteScope
 	if len(q.With) > 0 {
-		scope = make([]string, 0, len(cteScope)+len(q.With))
-		scope = append(scope, cteScope...)
+		scope = slices.Clone(cteScope)
 		for _, cte := range q.With {
 			scope = append(scope, cte.Name)
 		}
 	}
 	var n lNode
 	if q.Union == nil {
-		var ok bool
-		n, ok = c.buildLogicalCore(q, q.OrderBy, scope)
-		if !ok {
-			return nil, false
+		var err error
+		if n, err = c.buildLogicalCore(q, q.OrderBy, scope); err != nil {
+			return nil, err
 		}
 	} else {
 		set := &lSetOp{}
 		for b := q; b != nil; b = b.Union {
-			// Non-head branches compile with nil ORDER BY (compileSelect
-			// applies only the head's), matching compileCore's inputs.
-			var orderBy []ast.OrderItem
-			if b == q {
-				orderBy = nil // head's ORDER BY resolves against union output
-			}
-			bn, ok := c.buildLogicalCore(b, orderBy, scope)
-			if !ok {
-				return nil, false
+			// The head's ORDER BY resolves against the union output, so no
+			// branch sees it for aggregate detection.
+			bn, err := c.buildLogicalCore(b, nil, scope)
+			if err != nil {
+				return nil, err
 			}
 			set.Branches = append(set.Branches, bn)
-			set.origs = append(set.origs, b)
 		}
 		n = set
 	}
@@ -196,39 +185,23 @@ func (c *compiler) buildLogicalSelect(q *ast.Select, cteScope []string) (lNode, 
 	if len(q.With) > 0 {
 		n = &lWith{In: n, Defs: q.With}
 	}
-	return n, true
+	return n, nil
 }
 
 // buildLogicalCore builds one query block's spine: From → WHERE filters →
-// aggregate + HAVING filters → Project [→ Apply]. orderBy is passed only for
-// aggregate detection (ORDER BY sum(x) forces aggregation), mirroring
-// compileCore.
-func (c *compiler) buildLogicalCore(q *ast.Select, orderBy []ast.OrderItem, cteScope []string) (lNode, bool) {
-	n, ok := c.buildLogicalFrom(q.From, cteScope)
-	if !ok {
-		return nil, false
+// aggregate + HAVING filters → Project. orderBy is passed only for
+// aggregate detection (ORDER BY sum(x) forces aggregation).
+func (c *compiler) buildLogicalCore(q *ast.Select, orderBy []ast.OrderItem, cteScope []string) (lNode, error) {
+	n, err := c.buildLogicalFrom(q.From, cteScope)
+	if err != nil {
+		return nil, err
 	}
 	for _, cj := range splitConjuncts(q.Where) {
 		n = &lFilter{In: n, Pred: cj}
 	}
-
-	var aggs []aggCall
-	seen := map[string]bool{}
-	for _, it := range q.Items {
-		if it.Star {
-			continue
-		}
-		if err := c.findAggCalls(it.Expr, &aggs, seen); err != nil {
-			return nil, false // nested aggregates: let compileCore report it
-		}
-	}
-	if err := c.findAggCalls(q.Having, &aggs, seen); err != nil {
-		return nil, false
-	}
-	for _, o := range orderBy {
-		if err := c.findAggCalls(o.Expr, &aggs, seen); err != nil {
-			return nil, false
-		}
+	aggs, err := c.blockAggs(q.Items, []ast.Expr{q.Having}, orderBy)
+	if err != nil {
+		return nil, err
 	}
 	if len(aggs) > 0 || len(q.GroupBy) > 0 {
 		n = &lAggregate{In: n, GroupBy: q.GroupBy}
@@ -236,243 +209,51 @@ func (c *compiler) buildLogicalCore(q *ast.Select, orderBy []ast.OrderItem, cteS
 			n = &lFilter{In: n, Pred: cj}
 		}
 	} else if q.Having != nil {
-		return nil, false // HAVING without aggregation is a compile error
+		return nil, errf("HAVING requires aggregation")
 	}
-
-	p := &lProject{In: n, Items: q.Items, Distinct: q.Distinct, OrderEnforced: q.OrderEnforced}
-	hasSub := false
-	for _, it := range q.Items {
-		if !it.Star && ast.HasSubquery(it.Expr) {
-			hasSub = true
-			break
-		}
-	}
-	if hasSub {
-		return &lApply{In: p}, true
-	}
-	return p, true
+	return &lProject{In: n, Items: q.Items, Distinct: q.Distinct, OrderEnforced: q.OrderEnforced}, nil
 }
 
-func (c *compiler) buildLogicalFrom(items []ast.TableExpr, cteScope []string) (lNode, bool) {
+func (c *compiler) buildLogicalFrom(items []ast.TableExpr, cteScope []string) (lNode, error) {
 	if len(items) == 1 {
 		return c.buildLogicalUnit(items[0], cteScope)
 	}
 	cross := &lCross{Units: make([]lNode, 0, len(items))}
 	for _, te := range items {
-		u, ok := c.buildLogicalUnit(te, cteScope)
-		if !ok {
-			return nil, false
+		u, err := c.buildLogicalUnit(te, cteScope)
+		if err != nil {
+			return nil, err
 		}
 		cross.Units = append(cross.Units, u)
 	}
-	return cross, true
+	return cross, nil
 }
 
-func (c *compiler) buildLogicalUnit(te ast.TableExpr, cteScope []string) (lNode, bool) {
+func (c *compiler) buildLogicalUnit(te ast.TableExpr, cteScope []string) (lNode, error) {
 	switch t := te.(type) {
 	case *ast.TableRef:
-		for _, name := range cteScope {
-			if name == t.Name {
-				return &lCTERef{Name: t.Name, Alias: t.Alias}, true
-			}
+		if slices.Contains(cteScope, t.Name) {
+			return &lCTERef{Name: t.Name, Alias: t.Alias}, nil
 		}
-		return &lScan{Name: t.Name, Alias: t.Alias}, true
+		return &lScan{Name: t.Name, Alias: t.Alias}, nil
 	case *ast.SubqueryRef:
-		child, ok := c.buildLogicalSelect(t.Query, cteScope)
-		if !ok {
-			return nil, false
+		child, err := c.buildLogicalSelect(t.Query, cteScope)
+		if err != nil {
+			return nil, err
 		}
-		return &lDerived{Child: child, Alias: t.Alias}, true
+		return &lDerived{Child: child, Alias: t.Alias}, nil
 	case *ast.Join:
-		l, ok := c.buildLogicalUnit(t.L, cteScope)
-		if !ok {
-			return nil, false
+		l, err := c.buildLogicalUnit(t.L, cteScope)
+		if err != nil {
+			return nil, err
 		}
-		r, ok := c.buildLogicalUnit(t.R, cteScope)
-		if !ok {
-			return nil, false
+		r, err := c.buildLogicalUnit(t.R, cteScope)
+		if err != nil {
+			return nil, err
 		}
-		return &lJoin{Kind: t.Kind, L: l, R: r, On: t.On}, true
+		return &lJoin{Kind: t.Kind, L: l, R: r, On: t.On}, nil
 	}
-	return nil, false
-}
-
-// lowerLogical turns a rewritten IR back into the canonical AST the physical
-// compiler consumes, recording fired-rule marks on the compiler for EXPLAIN
-// annotation. ok=false means the tree drifted from the canonical spine (a
-// rule bug); the caller falls back to the original AST.
-func (c *compiler) lowerLogical(n lNode) (*ast.Select, bool) {
-	return c.lowerSelect(n)
-}
-
-func (c *compiler) lowerSelect(n lNode) (*ast.Select, bool) {
-	var with []ast.CTE
-	var top ast.Expr
-	var orderBy []ast.OrderItem
-	if w, ok := n.(*lWith); ok {
-		with = w.Defs
-		n = w.In
-	}
-	if t, ok := n.(*lTop); ok {
-		top = t.N
-		n = t.In
-	}
-	if s, ok := n.(*lSort); ok {
-		orderBy = s.Keys
-		n = s.In
-	}
-
-	var head *ast.Select
-	if set, ok := n.(*lSetOp); ok {
-		var prev *ast.Select
-		for i, b := range set.Branches {
-			bs, ok := c.lowerBlock(b)
-			if !ok {
-				return nil, false
-			}
-			if i > 0 {
-				// Inert on non-head branches (never compiled), preserved so
-				// the round-trip is lossless.
-				orig := set.origs[i]
-				bs.With = orig.With
-				bs.OrderBy = orig.OrderBy
-				bs.Top = orig.Top
-				prev.Union = bs
-			} else {
-				head = bs
-			}
-			prev = bs
-		}
-	} else {
-		var ok bool
-		head, ok = c.lowerBlock(n)
-		if !ok {
-			return nil, false
-		}
-	}
-	head.With = with
-	head.Top = top
-	head.OrderBy = orderBy
-	return head, true
-}
-
-// lowerBlock lowers one block spine to a Select (without the wrapper fields,
-// which lowerSelect owns).
-func (c *compiler) lowerBlock(n lNode) (*ast.Select, bool) {
-	if a, ok := n.(*lApply); ok {
-		n = a.In
-	}
-	p, ok := n.(*lProject)
-	if !ok {
-		return nil, false
-	}
-	q := &ast.Select{Items: p.Items, Distinct: p.Distinct, OrderEnforced: p.OrderEnforced}
-	n = p.In
-
-	preds, n := c.lowerFilters(n)
-	if agg, ok := n.(*lAggregate); ok {
-		q.Having = andReversed(preds)
-		q.GroupBy = agg.GroupBy
-		preds, n = c.lowerFilters(agg.In)
-	}
-	q.Where = andReversed(preds)
-
-	from, ok := c.lowerFrom(n)
-	if !ok {
-		return nil, false
-	}
-	q.From = from
-	return q, true
-}
-
-// lowerFilters collects a run of lFilter nodes top-down (outermost conjunct
-// first) and records their rewrite marks.
-func (c *compiler) lowerFilters(n lNode) ([]ast.Expr, lNode) {
-	var preds []ast.Expr
-	for {
-		f, ok := n.(*lFilter)
-		if !ok {
-			return preds, n
-		}
-		if f.mark != "" {
-			c.markExpr(f.Pred, f.mark)
-		}
-		preds = append(preds, f.Pred)
-		n = f.In
-	}
-}
-
-// andReversed rebuilds a conjunction from filters collected top-down, so the
-// innermost (first-built) conjunct comes first — byte-identical to the
-// original WHERE for an untouched chain.
-func andReversed(preds []ast.Expr) ast.Expr {
-	var out ast.Expr
-	for i := len(preds) - 1; i >= 0; i-- {
-		out = ast.And(out, preds[i])
-	}
-	return out
-}
-
-func (c *compiler) lowerFrom(n lNode) ([]ast.TableExpr, bool) {
-	if cross, ok := n.(*lCross); ok {
-		out := make([]ast.TableExpr, 0, len(cross.Units))
-		for _, u := range cross.Units {
-			te, ok := c.lowerUnit(u)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, te)
-		}
-		return out, true
-	}
-	te, ok := c.lowerUnit(n)
-	if !ok {
-		return nil, false
-	}
-	return []ast.TableExpr{te}, true
-}
-
-func (c *compiler) lowerUnit(n lNode) (ast.TableExpr, bool) {
-	switch t := n.(type) {
-	case *lScan:
-		tr := &ast.TableRef{Name: t.Name, Alias: t.Alias}
-		if t.hint != nil {
-			if c.accessHints == nil {
-				c.accessHints = map[*ast.TableRef]*accessHint{}
-			}
-			c.accessHints[tr] = t.hint
-		}
-		return tr, true
-	case *lCTERef:
-		return &ast.TableRef{Name: t.Name, Alias: t.Alias}, true
-	case *lDerived:
-		sel, ok := c.lowerSelect(t.Child)
-		if !ok {
-			return nil, false
-		}
-		if t.mark != "" {
-			c.markSelect(sel, t.mark)
-		}
-		return &ast.SubqueryRef{Query: sel, Alias: t.Alias}, true
-	case *lJoin:
-		l, ok := c.lowerUnit(t.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.lowerUnit(t.R)
-		if !ok {
-			return nil, false
-		}
-		j := &ast.Join{Kind: t.Kind, L: l, R: r, On: t.On}
-		if t.mark != "" {
-			if c.joinMarks == nil {
-				c.joinMarks = map[*ast.Join]string{}
-			}
-			c.joinMarks[j] = c.rwSuffix(t.mark) + costSuffix(t.cost)
-		}
-		return j, true
-	}
-	return nil, false
+	return nil, errf("unknown table expression %T", te)
 }
 
 // mapLogicalChildren rewrites every direct child of n through f, in place
@@ -484,8 +265,6 @@ func mapLogicalChildren(n lNode, f func(lNode) lNode) lNode {
 	case *lAggregate:
 		t.In = f(t.In)
 	case *lProject:
-		t.In = f(t.In)
-	case *lApply:
 		t.In = f(t.In)
 	case *lSort:
 		t.In = f(t.In)
@@ -522,8 +301,6 @@ func blockProject(child lNode) *lProject {
 			child = t.In
 		case *lSort:
 			child = t.In
-		case *lApply:
-			child = t.In
 		case *lProject:
 			return t
 		default:
@@ -532,8 +309,60 @@ func blockProject(child lNode) *lProject {
 	}
 }
 
-// itemOutName is the output column name of a projection item, mirroring
-// selectOutputNames for star-free item lists.
+// blockSpine is one query block's spine read off the IR. Filter lists are
+// in source order (innermost lFilter first); agg is nil when the block does
+// not aggregate, and having is then empty.
+type blockSpine struct {
+	proj   *lProject
+	having []*lFilter
+	agg    *lAggregate
+	where  []*lFilter
+	from   lNode
+}
+
+// spineOf decomposes a block spine rooted at its lProject.
+func spineOf(p *lProject) blockSpine {
+	sp := blockSpine{proj: p}
+	fs, n := filterChain(p.In)
+	if a, ok := n.(*lAggregate); ok {
+		sp.having, sp.agg = fs, a
+		fs, n = filterChain(a.In)
+	}
+	sp.where, sp.from = fs, n
+	return sp
+}
+
+// filterChain collects the run of lFilter nodes starting at n, in source
+// order, and returns the node below them.
+func filterChain(n lNode) ([]*lFilter, lNode) {
+	var out []*lFilter
+	for f, ok := n.(*lFilter); ok; f, ok = n.(*lFilter) {
+		out = append(out, f)
+		n = f.In
+	}
+	slices.Reverse(out)
+	return out, n
+}
+
+// predsOf returns the predicates of a filter list.
+func predsOf(fs []*lFilter) []ast.Expr {
+	out := make([]ast.Expr, len(fs))
+	for i, f := range fs {
+		out[i] = f.Pred
+	}
+	return out
+}
+
+// fromUnits lists the comma-joined units of a FROM node.
+func fromUnits(from lNode) []lNode {
+	if cross, ok := from.(*lCross); ok {
+		return cross.Units
+	}
+	return []lNode{from}
+}
+
+// itemOutName is the output column name of the projection item at output
+// position idx.
 func itemOutName(it ast.SelectItem, idx int) string {
 	if it.Alias != "" {
 		return it.Alias
@@ -542,4 +371,149 @@ func itemOutName(it ast.SelectItem, idx int) string {
 		return cr.Name
 	}
 	return fmt.Sprintf("col%d", idx+1)
+}
+
+// bindingOf is the qualifier a table reference exposes.
+func bindingOf(name, alias string) string {
+	if alias != "" {
+		return alias
+	}
+	return name
+}
+
+// unitInfo derives a FROM unit's binding and output column names from the
+// IR without compiling it; CTE references resolve through env. opaque
+// marks a unit the rewrite rules treat as having unknown columns: a CTE
+// reference, a late-bound table (table variables and temp tables bind per
+// execution), a UNION, or a derived table projecting `*`. An explicit join
+// has no binding of its own.
+func (c *compiler) unitInfo(n lNode, env *cteEnv) (binding string, cols []string, opaque bool, err error) {
+	switch t := n.(type) {
+	case *lScan:
+		binding = bindingOf(t.Name, t.Alias)
+		tab, err := c.cat.ResolveTable(t.Name)
+		if err != nil {
+			return binding, nil, true, err
+		}
+		return binding, tab.Schema.Names(), lateBound(t.Name), nil
+	case *lCTERef:
+		binding = bindingOf(t.Name, t.Alias)
+		b := env.lookup(t.Name)
+		if b == nil {
+			return binding, nil, true, errf("unknown CTE %s", t.Name)
+		}
+		for _, col := range b.cols {
+			cols = append(cols, col.Name)
+		}
+		return binding, cols, true, nil
+	case *lDerived:
+		cols, opaque, err := c.selectCols(t.Child, env)
+		return t.Alias, cols, opaque, err
+	case *lJoin:
+		_, l, lo, err := c.unitInfo(t.L, env)
+		if err != nil {
+			return "", nil, true, err
+		}
+		_, r, ro, err := c.unitInfo(t.R, env)
+		if err != nil {
+			return "", nil, true, err
+		}
+		return "", append(l, r...), lo || ro, nil
+	}
+	return "", nil, true, errf("unknown table expression %T", n)
+}
+
+// selectCols derives the output column names of a select root (its first
+// UNION branch for a SetOp), expanding `*` items over the block's FROM
+// units. CTEs the root declares are bound by name only when a star needs
+// them.
+func (c *compiler) selectCols(n lNode, env *cteEnv) (cols []string, opaque bool, err error) {
+	var defs []ast.CTE
+	for {
+		switch t := n.(type) {
+		case *lWith:
+			defs = append(defs, t.Defs...)
+			n = t.In
+		case *lTop:
+			n = t.In
+		case *lSort:
+			n = t.In
+		case *lSetOp:
+			opaque = true
+			n = t.Branches[0]
+		case *lProject:
+			for _, it := range t.Items {
+				if !it.Star {
+					cols = append(cols, itemOutName(it, len(cols)))
+					continue
+				}
+				opaque = true
+				if defs != nil {
+					if env, err = c.bindCTENames(defs, env); err != nil {
+						return nil, true, err
+					}
+					defs = nil
+				}
+				star, err := c.starCols(spineOf(t).from, it.Alias, env)
+				if err != nil {
+					return nil, true, err
+				}
+				cols = append(cols, star...)
+			}
+			return cols, opaque, nil
+		default:
+			return nil, true, errf("malformed logical plan %T", n)
+		}
+	}
+}
+
+// bindCTENames extends env with name-only bindings for defs (declared
+// column names, or their bodies' output names).
+func (c *compiler) bindCTENames(defs []ast.CTE, env *cteEnv) (*cteEnv, error) {
+	for _, d := range defs {
+		names := d.Cols
+		if len(names) == 0 {
+			body, err := c.buildLogical(d.Query, env)
+			if err != nil {
+				return nil, err
+			}
+			if names, _, err = c.selectCols(body, env); err != nil {
+				return nil, err
+			}
+		}
+		b := &cteBinding{name: d.Name}
+		for _, name := range names {
+			b.cols = append(b.cols, colBinding{Name: strings.ToLower(name)})
+		}
+		env = &cteEnv{parent: env, binding: b}
+	}
+	return env, nil
+}
+
+// starCols expands a `*` (or `alias.*`) item over a FROM node's units,
+// descending into explicit joins so qualified stars match a join side.
+func (c *compiler) starCols(from lNode, alias string, env *cteEnv) ([]string, error) {
+	var out []string
+	for _, u := range fromUnits(from) {
+		if j, ok := u.(*lJoin); ok && alias != "" {
+			l, err := c.starCols(j.L, alias, env)
+			if err != nil {
+				return nil, err
+			}
+			r, err := c.starCols(j.R, alias, env)
+			if err != nil {
+				return nil, err
+			}
+			out = append(append(out, l...), r...)
+			continue
+		}
+		b, cols, _, err := c.unitInfo(u, env)
+		if err != nil {
+			return nil, err
+		}
+		if alias == "" || b == alias {
+			out = append(out, cols...)
+		}
+	}
+	return out, nil
 }

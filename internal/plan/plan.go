@@ -1,13 +1,16 @@
-// Package plan compiles query ASTs into executable physical operator trees
-// in three stages: apply decorrelation (the rewrite that gives the paper's
-// "Aggify+" configuration its set-oriented plans), a rule-based logical
-// rewrite pass over a small relational IR (logical.go + rewrite.go: constant
+// Package plan compiles query ASTs into executable physical operator trees.
+// A query is decorrelated once (the rewrite that gives the paper's "Aggify+"
+// configuration its set-oriented plans); then every SELECT block — top
+// level, derived tables, CTE bodies, UNION branches, scalar/EXISTS/IN
+// subqueries — runs one pipeline: build a small relational IR
+// (logical.go), run a rule-based rewrite pass over it (rewrite.go: constant
 // folding, predicate pushdown, projection pruning, redundant-sort
-// elimination, each individually toggleable and reported in EXPLAIN), and
-// physical compilation: predicate placement, index-seek selection,
-// join-order and join-algorithm choice, scalar-subquery apply, parallel
-// aggregation eligibility, and the paper's Eq. 6 streaming-aggregate
-// enforcement for order-sensitive custom aggregates.
+// elimination; access.go: cost-based join reordering and access-path
+// choice — each rule individually toggleable and reported in EXPLAIN), and
+// compile physical operators straight from the rewritten nodes: predicate
+// placement, join-order and join-algorithm choice, scalar-subquery apply,
+// parallel aggregation eligibility, and the paper's Eq. 6
+// streaming-aggregate enforcement for order-sensitive custom aggregates.
 package plan
 
 import (
@@ -63,8 +66,9 @@ type Plan struct {
 	// Explain describes the chosen physical plan.
 	Explain *Node
 	// Rewrites lists the logical rewrite rules that fired while normalizing
-	// this query, as "rule(count)" in rule order; empty when the pass left
-	// the query untouched. Surfaced as the EXPLAIN `rewrites:` header.
+	// this query's blocks (nested subqueries and CTE bodies included), as
+	// "rule(count)" in rule order; empty when the pass left every block
+	// untouched. Surfaced as the EXPLAIN `rewrites:` header.
 	Rewrites []string
 
 	// Parallel and Batched summarize the physical plan shape (derived from
@@ -301,7 +305,8 @@ func errf(format string, args ...any) error {
 func litScalar(v sqltypes.Value) exec.Scalar { return exec.ConstScalar(v) }
 
 // CompileScalar compiles an expression that references no table columns
-// (variables, parameters, literals, function calls, scalar subqueries).
+// (variables, parameters, literals, function calls, scalar subqueries —
+// each subquery planned like any other query block).
 func CompileScalar(cat Catalog, opts Options, e ast.Expr) (exec.Scalar, error) {
 	c := &compiler{cat: cat, opts: opts}
 	return c.compileExpr(e, &scope{}, nil)

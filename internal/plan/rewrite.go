@@ -1,10 +1,12 @@
-// Rule-based rewrite pass over the logical IR (logical.go). Compile runs it
-// between decorrelation and physical compilation: the AST is cloned, built
-// into the IR, normalized by a fixpoint loop of local rules, and lowered back
-// to a canonical AST for the unchanged physical compiler. Every rule is
-// individually toggleable through Options.DisableRules (for bisection), every
-// firing is counted into Plan.Rewrites for the EXPLAIN `rewrites:` header,
-// and nodes a rule touched carry a ` [rw:<rule>]` suffix in the plan tree.
+// Rule-based rewrite pass over the logical IR (logical.go). Every SELECT
+// block's IR runs through it between building and physical compilation: a
+// fixpoint loop of local rules normalizes the tree, then the cost-based
+// passes (access.go) pin join orders and access paths on its nodes. Every
+// rule is individually toggleable through Options.DisableRules (for
+// bisection), every firing — in any block of the query, nested ones
+// included — is counted into Plan.Rewrites for the EXPLAIN `rewrites:`
+// header, and nodes a rule touched carry a ` [rw:<rule>]` suffix in the
+// plan tree.
 //
 // The rules are deliberately conservative: a transformation applies only
 // when the rewritten query is byte-identical in results (row values AND row
@@ -47,7 +49,7 @@ const (
 	RulePushFilterDecor
 	// RulePruneProject drops unreferenced pass-through columns from derived
 	// table projections so only referenced columns flow through joins and
-	// exchanges.
+	// aggregations.
 	RulePruneProject
 	// RuleDropSort removes constant and duplicate ORDER BY keys and an outer
 	// ORDER BY that re-states a prefix of the order a derived table already
@@ -106,48 +108,41 @@ func ruleName(r RuleSet) string {
 // passes.
 const maxRewritePasses = 10
 
-// rewriteSelect runs the rewrite pass and returns the normalized query plus
-// the fired-rule report. When nothing fires (or any step refuses the shape)
-// the original query is returned untouched, so unchanged queries compile to
-// byte-identical plans.
-func (c *compiler) rewriteSelect(q *ast.Select) (*ast.Select, []string) {
+// rewrite runs the enabled rules over one select root's IR, counting every
+// firing into the compiler's report.
+func (c *compiler) rewrite(n lNode) lNode {
 	rules := RuleAll &^ c.opts.DisableRules
 	if c.opts.DisableDecorrelation {
 		rules &^= RulePushFilterDecor
 	}
 	if rules == 0 {
-		return q, nil
+		return n
 	}
-	root, ok := c.buildLogical(ast.CloneSelect(q))
-	if !ok {
-		return q, nil
-	}
-	rw := &rewriter{c: c, rules: rules, fired: map[RuleSet]int{}}
-	root = rw.run(root)
-	if rw.total == 0 {
-		return q, nil
-	}
-	out, ok := c.lowerLogical(root)
-	if !ok {
-		return q, nil
-	}
-	return out, rw.firedList()
+	return (&rewriter{c: c, rules: rules}).run(n)
 }
 
 type rewriter struct {
 	c     *compiler
 	rules RuleSet
-	fired map[RuleSet]int
 	total int
 }
 
-func (rw *rewriter) fire(r RuleSet)         { rw.fired[r]++; rw.total++ }
-func (rw *rewriter) fireN(r RuleSet, n int) { rw.fired[r] += n; rw.total += n }
+func (rw *rewriter) fire(r RuleSet) { rw.fireN(r, 1) }
 
-func (rw *rewriter) firedList() []string {
+func (rw *rewriter) fireN(r RuleSet, n int) {
+	if rw.c.fired == nil {
+		rw.c.fired = map[RuleSet]int{}
+	}
+	rw.c.fired[r] += n
+	rw.total += n
+}
+
+// firedList reports the rules that fired during this compilation as
+// "rule(count)" in rule order.
+func (c *compiler) firedList() []string {
 	var out []string
 	for _, r := range ruleOrder {
-		if n := rw.fired[r]; n > 0 {
+		if n := c.fired[r]; n > 0 {
 			out = append(out, fmt.Sprintf("%s(%d)", ruleName(r), n))
 		}
 	}
@@ -393,47 +388,20 @@ func (rw *rewriter) collectUnits(n lNode, set func(lNode), blocked, joined, unde
 		rw.collectUnits(t.L, func(x lNode) { t.L = x }, blocked, true, underLeft || t.Kind == ast.JoinLeft, out)
 		rw.collectUnits(t.R, func(x lNode) { t.R = x }, blocked || t.Kind == ast.JoinLeft, true, underLeft, out)
 	default:
-		u := unitRef{node: n, set: set, blocked: blocked, joined: joined, underLeft: underLeft}
-		u.binding, u.cols, u.known = rw.unitInfo(n)
-		*out = append(*out, u)
+		*out = append(*out, rw.unitRef(n, set, blocked, joined, underLeft))
 	}
 }
 
-func (rw *rewriter) unitInfo(n lNode) (binding string, cols []string, known bool) {
-	switch t := n.(type) {
-	case *lScan:
-		binding = t.Alias
-		if binding == "" {
-			binding = t.Name
-		}
-		if lateBound(t.Name) {
-			return binding, nil, false
-		}
-		tab, err := rw.c.cat.ResolveTable(t.Name)
-		if err != nil {
-			return binding, nil, false
-		}
-		return binding, tab.Schema.Names(), true
-	case *lCTERef:
-		binding = t.Alias
-		if binding == "" {
-			binding = t.Name
-		}
-		return binding, nil, false
-	case *lDerived:
-		p := blockProject(t.Child)
-		if p == nil {
-			return t.Alias, nil, false
-		}
-		for i, it := range p.Items {
-			if it.Star {
-				return t.Alias, nil, false
-			}
-			cols = append(cols, itemOutName(it, i))
-		}
-		return t.Alias, cols, true
+// unitRef describes one FROM unit for the rules. cols stays nil when the
+// unit's columns cannot be derived (a CTE reference: its binding is not
+// visible while rewriting).
+func (rw *rewriter) unitRef(n lNode, set func(lNode), blocked, joined, underLeft bool) unitRef {
+	binding, cols, opaque, err := rw.c.unitInfo(n, nil)
+	if err != nil {
+		cols = nil
 	}
-	return "", nil, false
+	return unitRef{node: n, set: set, binding: binding, cols: cols, known: err == nil && !opaque,
+		blocked: blocked, joined: joined, underLeft: underLeft}
 }
 
 // tryPush attempts to move filter f's predicate into the single FROM unit it
@@ -557,10 +525,6 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 			n = s.In
 			continue
 		}
-		if a, ok := n.(*lApply); ok {
-			n = a.In
-			continue
-		}
 		if _, ok := n.(*lTop); ok {
 			return 0, false
 		}
@@ -581,19 +545,7 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 		}
 	}
 
-	// Locate the block's aggregation, if any, below the HAVING filters.
-	var aggNode *lAggregate
-	n := p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			n = f.In
-			continue
-		}
-		break
-	}
-	if a, ok := n.(*lAggregate); ok {
-		aggNode = a
-	}
+	aggNode := spineOf(p).agg
 
 	rule := RulePushFilter
 	if aggNode != nil {
@@ -716,9 +668,6 @@ func (rw *rewriter) pruneSelect(root lNode) {
 
 func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 	exprs := append([]ast.Expr(nil), outer...)
-	if a, ok := n.(*lApply); ok {
-		n = a.In
-	}
 	p, ok := n.(*lProject)
 	if !ok {
 		return
@@ -736,19 +685,10 @@ func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 		}
 		exprs = append(exprs, it.Expr)
 	}
-	n = p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			exprs = append(exprs, f.Pred)
-			n = f.In
-			continue
-		}
-		if a, ok := n.(*lAggregate); ok {
-			exprs = append(exprs, a.GroupBy...)
-			n = a.In
-			continue
-		}
-		break
+	sp := spineOf(p)
+	exprs = append(append(exprs, predsOf(sp.having)...), predsOf(sp.where)...)
+	if sp.agg != nil {
+		exprs = append(exprs, sp.agg.GroupBy...)
 	}
 	var deriveds []*lDerived
 	var walk func(x lNode)
@@ -768,7 +708,7 @@ func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 			deriveds = append(deriveds, t)
 		}
 	}
-	walk(n)
+	walk(sp.from)
 	for _, d := range deriveds {
 		if !starAll && !starQual[d.Alias] {
 			rw.pruneDerived(d, exprs)
@@ -900,22 +840,11 @@ func (rw *rewriter) sortPass(n lNode) lNode {
 // same keys in the same directions. Filters preserve order and the sort is
 // stable, so dropping the outer sort is an identity.
 func (rw *rewriter) sortRedundantOver(s *lSort) *lDerived {
-	n := s.In
-	if a, ok := n.(*lApply); ok {
-		n = a.In
-	}
-	p, ok := n.(*lProject)
+	p, ok := s.In.(*lProject)
 	if !ok || p.Distinct {
 		return nil
 	}
-	n = p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			n = f.In
-			continue
-		}
-		break
-	}
+	_, n := filterChain(p.In)
 	d, ok := n.(*lDerived)
 	if !ok {
 		return nil
@@ -931,11 +860,7 @@ func (rw *rewriter) sortRedundantOver(s *lSort) *lDerived {
 	if !ok || len(s.Keys) > len(is.Keys) {
 		return nil
 	}
-	ip := is.In
-	if a, ok := ip.(*lApply); ok {
-		ip = a.In
-	}
-	dp, ok := ip.(*lProject)
+	dp, ok := is.In.(*lProject)
 	if !ok {
 		return nil
 	}
@@ -1021,34 +946,10 @@ func addMark(existing, rule string) string {
 	return existing + "," + rule
 }
 
-// markExpr records that a predicate was placed by a rewrite rule, so the
-// physical compiler annotates the Filter (or IndexSeek) it compiles into.
-// Keys are expression pointers: splitConjuncts and ast.And preserve conjunct
-// identity from lowering through compilation.
-func (c *compiler) markExpr(e ast.Expr, rule string) {
-	if c.marks == nil {
-		c.marks = map[ast.Expr]string{}
-	}
-	c.marks[e] = rule
-}
-
-// markSelect records that a derived table's body was rewritten, annotating
-// its Derived() node.
-func (c *compiler) markSelect(q *ast.Select, rule string) {
-	if c.selMarks == nil {
-		c.selMarks = map[*ast.Select]string{}
-	}
-	c.selMarks[q] = rule
-}
-
 // rwSuffix renders a node-label annotation for a fired rule, "" when none.
-func (c *compiler) rwSuffix(mark string) string {
+func rwSuffix(mark string) string {
 	if mark == "" {
 		return ""
 	}
 	return " [rw:" + mark + "]"
-}
-
-func (c *compiler) filterLabel(pred ast.Expr) string {
-	return "Filter" + c.rwSuffix(c.marks[pred])
 }
