@@ -60,3 +60,43 @@ func TestTPCHAccessGolden(t *testing.T) {
 		t.Errorf("access counts differ from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
+
+// TestTPCHPlansGolden pins, for every TPC-H workload query in Aggify+ mode
+// at SF 0.002 with a 30-key driver limit, the rewrite rules that fired and
+// the physical plan tree — the decorrelated, set-oriented shapes the
+// Aggify+ gains come from. Regenerate intentional changes with:
+//
+//	go test -run TestTPCHPlansGolden -update ./internal/bench
+func TestTPCHPlansGolden(t *testing.T) {
+	env, err := LoadTPCH(testSF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, q := range tpch.Queries() {
+		driver, err := env.rewriteDriver(q.Driver(30), AggifyPlus)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		p, err := env.Eng.NewSession().PlanQuery(driver, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		fmt.Fprintf(&b, "== %s\nrewrites: %s\n%s", q.ID, strings.Join(p.Rewrites, ", "), p.Explain)
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "tpch_plans.golden")
+	if *updateAccess {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("plans differ from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
