@@ -103,11 +103,11 @@ func liftOneFor(f *ast.ForStmt, cursor string) *ast.Block {
 
 	valCol := ast.Col("val")
 	subst := func(e ast.Expr, repl ast.Expr) ast.Expr {
-		return mapVarRefs(ast.CloneExpr(e), func(v *ast.VarRef) ast.Expr {
-			if v.Name == loopVar {
+		return ast.MapExpr(ast.CloneExpr(e), func(x ast.Expr) ast.Expr {
+			if v, ok := x.(*ast.VarRef); ok && v.Name == loopVar {
 				return ast.CloneExpr(repl)
 			}
-			return v
+			return nil
 		})
 	}
 	seed := &ast.Select{
@@ -145,46 +145,4 @@ func liftOneFor(f *ast.ForStmt, cursor string) *ast.Block {
 		&ast.CloseCursor{Name: cursor},
 		&ast.DeallocateCursor{Name: cursor},
 	}}
-}
-
-// mapVarRefs rewrites variable references through fn.
-func mapVarRefs(e ast.Expr, fn func(*ast.VarRef) ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *ast.VarRef:
-		return fn(x)
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: mapVarRefs(x.L, fn), R: mapVarRefs(x.R, fn)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: mapVarRefs(x.E, fn)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: mapVarRefs(x.E, fn), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{Cond: mapVarRefs(w.Cond, fn), Then: mapVarRefs(w.Then, fn)})
-		}
-		if x.Else != nil {
-			out.Else = mapVarRefs(x.Else, fn)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, mapVarRefs(a, fn))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{E: mapVarRefs(x.E, fn), Lo: mapVarRefs(x.Lo, fn), Hi: mapVarRefs(x.Hi, fn), Negate: x.Negate}
-	case *ast.InExpr:
-		out := &ast.InExpr{E: mapVarRefs(x.E, fn), Negate: x.Negate, Query: x.Query}
-		for _, it := range x.List {
-			out.List = append(out.List, mapVarRefs(it, fn))
-		}
-		return out
-	default:
-		return e
-	}
 }

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"aggify/internal/exec"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 	"aggify/internal/sqltypes"
 )
 
@@ -129,6 +132,22 @@ func TestExplicitJoins(t *testing.T) {
 	if last[0].Int() != 4 || !last[1].IsNull() {
 		t.Fatalf("lonely part row = %v", last)
 	}
+
+	// An explicit join inside a comma list: qualified references reach the
+	// tables inside the join, both when the join unit drives and when a
+	// filtered unit is joined first and the FROM column order is restored.
+	sess = newDB(t, `create table a (k int, x int); create table b (k int); create table c (y int, w int);
+	                 insert into a values (1, 10), (2, 20); insert into b values (1);
+	                 insert into c values (10, 99), (20, 98);`)
+	for sql, want := range map[string]string{
+		"select a.x, c.w from a join b on a.k = b.k, c where a.x = c.y":                  "[10 99]",
+		"select a.x, c.w from a join b on a.k = b.k, c where a.x = c.y and c.w = 99":     "[10 99]",
+		"select c.w, b.k, a.x from a join b on a.k = b.k, c where a.x = c.y and c.w > 0": "[99 1 10]",
+	} {
+		if got := fmt.Sprint(query(t, sess, sql)); got != "["+want+"]" {
+			t.Fatalf("%s: rows = %s, want [%s]", sql, got, want)
+		}
+	}
 }
 
 func TestGroupByHavingOrder(t *testing.T) {
@@ -174,14 +193,24 @@ func TestDecorrelationPlanAndResults(t *testing.T) {
 	      from part order by p_partkey`
 	sessOn := newDB(t, sampleDB)
 	sessOff := newDB(t, sampleDB)
-	sessOff.Opts.DisableDecorrelation = true
+	sessOff.Opts.DisableRules = plan.RuleDecorrelate
 
 	pOn, err := sessOn.PlanQuery(parser.MustParse(q)[0].(*ast.QueryStmt).Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pOn.Explain.Contains("HashJoin") || !pOn.Explain.Contains("HashAgg") {
+	if !pOn.Explain.Contains("HashJoin") || !pOn.Explain.Contains("HashAgg") || !pOn.Explain.Contains("Derived(__dcor1) [rw:decorrelate]") {
 		t.Fatalf("decorrelated plan expected, got:\n%s", pOn.Explain)
+	}
+	if !slices.Contains(pOn.Rewrites, "decorrelate(1)") {
+		t.Fatalf("rewrites = %v, want decorrelate(1)", pOn.Rewrites)
+	}
+	pOff, err := sessOff.PlanQuery(parser.MustParse(q)[0].(*ast.QueryStmt).Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pOff.Explain.Contains("__dcor") {
+		t.Fatalf("decorrelation ran despite being disabled:\n%s", pOff.Explain)
 	}
 	on := query(t, sessOn, q)
 	off := query(t, sessOff, q)

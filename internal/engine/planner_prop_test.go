@@ -11,6 +11,7 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 )
 
 // Property test: the planner's rewrites (index-seek selection, greedy join
@@ -116,7 +117,7 @@ func TestPlannerRewritesPreserveResults(t *testing.T) {
 	indexed := buildPropDB(t, true)
 	unindexed := buildPropDB(t, false)
 	noDecor := buildPropDB(t, true)
-	noDecor.Opts.DisableDecorrelation = true
+	noDecor.Opts.DisableRules = plan.RuleDecorrelate
 	parallel := buildPropDB(t, true)
 	parallel.Opts.Parallelism = 4
 

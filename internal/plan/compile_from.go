@@ -30,6 +30,7 @@ type fromUnit struct {
 	cols    []string       // output column names; nil when unknown
 	tab     *storage.Table // the base table a non-late-bound scan reads
 	preds   []*lFilter     // single-unit conjuncts assigned to this unit
+	sides   []*fromUnit    // an explicit join's two sides
 }
 
 // newFromUnit describes FROM node n at list position pos.
@@ -39,16 +40,30 @@ func (c *compiler) newFromUnit(pos int, n lNode, env *cteEnv) (*fromUnit, error)
 		return nil, err
 	}
 	u := &fromUnit{pos: pos, node: n, binding: binding, cols: cols}
-	if s, ok := n.(*lScan); ok && !lateBound(s.Name) {
-		u.tab, _ = c.cat.ResolveTable(s.Name) // cannot fail: unitInfo resolved it
+	switch t := n.(type) {
+	case *lScan:
+		if !lateBound(t.Name) {
+			u.tab, _ = c.cat.ResolveTable(t.Name) // cannot fail: unitInfo resolved it
+		}
+	case *lJoin:
+		for _, side := range []lNode{t.L, t.R} {
+			su, err := c.newFromUnit(pos, side, env)
+			if err != nil {
+				return nil, err
+			}
+			u.sides = append(u.sides, su)
+		}
 	}
 	return u, nil
 }
 
 // hasCol reports whether the unit may expose the (possibly qualified)
 // column. A unit whose columns are unknown exposes every name under its
-// binding.
+// binding; an explicit join exposes what its sides do.
 func (u *fromUnit) hasCol(ref *ast.ColRef) bool {
+	if u.sides != nil {
+		return u.sides[0].hasCol(ref) || u.sides[1].hasCol(ref)
+	}
 	if ref.Table != "" && ref.Table != u.binding {
 		return false
 	}
@@ -174,6 +189,10 @@ func (c *compiler) compileFrom(from lNode, where []*lFilter, parent *scope, env 
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	// unitCols keeps each unit's compiled column bindings (a join unit's
+	// carry its sides' qualifiers) for restoring the FROM column order.
+	unitCols := make([][]colBinding, len(units))
+	unitCols[start] = sc.cols
 	joined := map[int]bool{start: true}
 	joinOrder := []int{start}
 	width := sc.width()
@@ -266,6 +285,7 @@ func (c *compiler) compileFrom(from lNode, where []*lFilter, parent *scope, env 
 			if err != nil {
 				return nil, nil, nil, err
 			}
+			unitCols[best.unit] = rightScope.cols
 			combined := concatScopes(sc, rightScope)
 			// Residual join conjuncts evaluated on the combined row.
 			var residuals []exec.Scalar
@@ -294,6 +314,7 @@ func (c *compiler) compileFrom(from lNode, where []*lFilter, parent *scope, env 
 			if err != nil {
 				return nil, nil, nil, err
 			}
+			unitCols[best.unit] = rightScope.cols
 			var leftKeys, rightKeys []exec.Scalar
 			for i, cj := range best.conjRefs {
 				cj.applied = true
@@ -378,15 +399,15 @@ func (c *compiler) compileFrom(from lNode, where []*lFilter, parent *scope, env 
 		off := 0
 		for _, p := range joinOrder {
 			offsets[p] = off
-			off += len(units[p].cols)
+			off += len(unitCols[p])
 		}
 		reordered := &scope{parent: parent}
 		var exprs []exec.Scalar
 		for _, u := range units {
 			base := offsets[u.pos]
-			for ci, cn := range u.cols {
+			for ci, col := range unitCols[u.pos] {
 				exprs = append(exprs, exec.ColScalar(base+ci))
-				reordered.add(u.binding, cn, sqltypes.Unknown)
+				reordered.add(col.Qual, col.Name, sqltypes.Unknown)
 			}
 		}
 		inner := builder

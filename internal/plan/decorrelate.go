@@ -2,201 +2,165 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"aggify/internal/ast"
 )
 
-// DecorrelateSelect applies the apply-decorrelation rewrite: a correlated
-// scalar-aggregate subquery in the projection,
+// decorrelate is the apply-decorrelation rule: a correlated scalar-aggregate
+// subquery in the root block's projection,
 //
 //	SELECT t.a, (SELECT AGG(...) FROM s WHERE s.k = t.a AND p) FROM t
 //
 // becomes a left join against a grouped aggregation,
 //
 //	SELECT t.a, CASE WHEN d.__m IS NULL THEN __agg_empty('agg') ELSE d.__v END
-//	FROM t LEFT JOIN (SELECT s.k AS __k, 1 AS __m, AGG(...) AS __v
-//	                  FROM s WHERE p GROUP BY s.k) d ON d.__k = t.a
+//	FROM t LEFT JOIN (SELECT s.k AS __k0, 1 AS __m, AGG(...) AS __v
+//	                  FROM s WHERE p GROUP BY s.k) d ON d.__k0 = t.a
 //
-// This is the rewrite that turns the Aggify+Froid pipeline's per-row apply
-// into a set-oriented plan — the source of the paper's Q13-style orders-of-
-// magnitude wins, and of Table 2's "Aggify+ reads more pages but runs
-// faster" effect. Join misses are patched to the aggregate's empty-input
-// value (Init+Terminate), evaluated by the __agg_empty pseudo-function, so
-// the semantics match the original apply exactly (COUNT(*) = 0 included).
+// built directly as IR. This is the rewrite that turns the Aggify+Froid
+// pipeline's per-row apply into a set-oriented plan — the source of the
+// paper's Q13-style orders-of-magnitude wins, and of Table 2's "Aggify+
+// reads more pages but runs faster" effect. Join misses are patched to the
+// aggregate's empty-input value (Init+Terminate), evaluated by the
+// __agg_empty pseudo-function, so the semantics match the original apply
+// exactly (COUNT(*) = 0 included).
 //
-// The rewrite is applied when safe and left alone otherwise; it never
-// changes results. It returns a rewritten copy (or q itself when nothing
-// applied).
-func DecorrelateSelect(c *compiler, q *ast.Select) *ast.Select {
-	// Only rewrite blocks with a single FROM unit and no aggregation of
-	// their own; this covers the UDF-inlining pattern the paper targets.
-	if len(q.From) != 1 || len(q.GroupBy) > 0 || q.Union != nil || len(q.With) > 0 || q.OrderEnforced {
-		return q
+// Only the root block is rewritten: a nested block may run once per outer
+// row, and the rule is not costed. The root must have a single FROM unit
+// and no GROUP BY, UNION, WITH or Eq. 6 order enforcement; this covers the
+// UDF-inlining pattern the paper targets. The rule applies when safe and
+// leaves the block alone otherwise; it never changes results.
+func (rw *rewriter) decorrelate(root lNode) lNode {
+	n := root
+	for {
+		if t, ok := n.(*lTop); ok {
+			n = t.In
+		} else if s, ok := n.(*lSort); ok {
+			n = s.In
+		} else {
+			break
+		}
 	}
-	out := *q
-	items := make([]ast.SelectItem, len(q.Items))
-	copy(items, q.Items)
-	out.Items = items
-	from := q.From[0]
-	changed := false
-	serial := 0
-	// cache deduplicates textually identical subqueries (tuple_get(S, 0)
-	// and tuple_get(S, 1) from the Aggify guarded rewrite share one join).
-	cache := map[string]ast.Expr{}
-	for i, it := range items {
-		if it.Star || it.Expr == nil {
-			continue
-		}
-		newExpr, join, ok := c.tryDecorrelate(it.Expr, &serial, from, cache)
-		if !ok {
-			continue
-		}
-		items[i] = ast.SelectItem{Expr: newExpr, Alias: it.Alias}
-		from = join
-		changed = true
+	p, ok := n.(*lProject)
+	if !ok || p.OrderEnforced {
+		return root
 	}
-	if !changed {
-		return q
+	sp := spineOf(p)
+	if _, cross := sp.from.(*lCross); cross || (sp.agg != nil && len(sp.agg.GroupBy) > 0) {
+		return root
 	}
-	out.From = []ast.TableExpr{from}
-	return &out
-}
-
-// tryDecorrelate searches e for a decorrelatable scalar subquery. On
-// success it returns the rewritten expression and the join to splice in.
-// It rewrites at most one subquery per call (the caller loops via serial
-// numbering across items; nested multiple subqueries in one expression are
-// handled by repeated application).
-func (c *compiler) tryDecorrelate(e ast.Expr, serial *int, left ast.TableExpr, cache map[string]ast.Expr) (ast.Expr, ast.TableExpr, bool) {
-	var target *ast.Subquery
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if target != nil {
-			return false
+	d := &decorrelator{rw: rw, from: sp.from, cache: map[string]ast.Expr{}}
+	for i, it := range p.Items {
+		if !it.Star {
+			p.Items[i].Expr = d.expr(it.Expr)
 		}
-		if sq, ok := x.(*ast.Subquery); ok && !sq.Exists {
-			target = sq
-			return false
-		}
-		return true
-	})
-	if target == nil {
-		return nil, nil, false
 	}
-	var repl ast.Expr
-	join := left
-	if cached, ok := cache[target.String()]; ok {
-		repl = ast.CloneExpr(cached)
-	} else {
-		var ok bool
-		repl, join, ok = c.decorrelateSubquery(target, serial, left)
-		if !ok {
-			return nil, nil, false
-		}
-		cache[target.String()] = repl
+	if d.serial == 0 {
+		return root
 	}
-	newExpr := replaceExpr(e, target, repl)
-	// Try to decorrelate further subqueries within the same item.
-	if again, join2, ok2 := c.tryDecorrelate(newExpr, serial, join, cache); ok2 {
-		return again, join2, true
-	}
-	return newExpr, join, true
-}
-
-// replaceExpr returns e with the (pointer-identical) node old replaced by
-// repl.
-func replaceExpr(e ast.Expr, old, repl ast.Expr) ast.Expr {
-	if e == old {
-		return repl
-	}
-	switch x := e.(type) {
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: replaceExpr(x.L, old, repl), R: replaceExpr(x.R, old, repl)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: replaceExpr(x.E, old, repl)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: replaceExpr(x.E, old, repl), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{
-				Cond: replaceExpr(w.Cond, old, repl),
-				Then: replaceExpr(w.Then, old, repl),
-			})
-		}
-		if x.Else != nil {
-			out.Else = replaceExpr(x.Else, old, repl)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, replaceExpr(a, old, repl))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{
-			E:  replaceExpr(x.E, old, repl),
-			Lo: replaceExpr(x.Lo, old, repl),
-			Hi: replaceExpr(x.Hi, old, repl), Negate: x.Negate,
-		}
-	case *ast.InExpr:
-		out := &ast.InExpr{E: replaceExpr(x.E, old, repl), Negate: x.Negate, Query: x.Query}
-		for _, it := range x.List {
-			out.List = append(out.List, replaceExpr(it, old, repl))
-		}
-		return out
+	switch {
+	case len(sp.where) > 0:
+		sp.where[0].In = d.from
+	case sp.agg != nil:
+		sp.agg.In = d.from
 	default:
-		return e
+		p.In = d.from
 	}
+	return root
 }
 
-// decorrelateSubquery attempts the rewrite for one scalar subquery.
-func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.TableExpr) (ast.Expr, ast.TableExpr, bool) {
-	s := ast.CloneSelect(sq.Query)
-	if len(s.With) > 0 || s.Union != nil || s.Distinct || s.Top != nil || s.OrderEnforced || len(s.GroupBy) > 0 || s.Having != nil {
-		return nil, nil, false
+// decorrelator carries one root block's decorrelation state: the FROM
+// node the joins accumulate on, and the replacements made so far, keyed by
+// subquery text (tuple_get(S, 0) and tuple_get(S, 1) from the Aggify guarded
+// rewrite share one join).
+type decorrelator struct {
+	rw     *rewriter
+	from   lNode
+	cache  map[string]ast.Expr
+	serial int
+}
+
+// expr rewrites the scalar subqueries of e in pre-order, stopping at the
+// first one that cannot be decorrelated.
+func (d *decorrelator) expr(e ast.Expr) ast.Expr {
+	stop := false
+	return ast.MapExpr(e, func(x ast.Expr) ast.Expr {
+		sq, ok := x.(*ast.Subquery)
+		if stop || !ok {
+			return nil
+		}
+		if sq.Exists {
+			return sq
+		}
+		key := sq.String()
+		if cached, ok := d.cache[key]; ok {
+			return ast.CloneExpr(cached)
+		}
+		repl := d.subquery(sq)
+		if repl == nil {
+			stop = true
+			return sq
+		}
+		d.cache[key] = repl
+		return repl
+	})
+}
+
+// subquery decorrelates one scalar subquery: it joins the grouped
+// aggregation onto d.from and returns the expression that replaces the
+// subquery, or nil when the subquery is not of the accepted shape.
+func (d *decorrelator) subquery(sq *ast.Subquery) ast.Expr {
+	c := d.rw.c
+	body, err := c.buildLogicalSelect(ast.CloneSelect(sq.Query), nil)
+	if err != nil {
+		return nil
 	}
-	flattenDerived(s)
-	if len(s.Items) != 1 || s.Items[0].Star {
-		return nil, nil, false
+	if s, ok := body.(*lSort); ok {
+		body = s.In // ordering the single aggregate row is a no-op
 	}
-	agg, ok := s.Items[0].Expr.(*ast.FuncCall)
+	p, ok := body.(*lProject)
+	if !ok || p.Distinct || p.OrderEnforced {
+		return nil
+	}
+	sp := spineOf(p)
+	if sp.agg == nil || len(sp.agg.GroupBy) > 0 || len(sp.having) > 0 {
+		return nil
+	}
+	units, items, preds := c.flattenDerived(fromUnits(sp.from), p.Items, predsOf(sp.where))
+	if len(items) != 1 || items[0].Star {
+		return nil
+	}
+	agg, ok := items[0].Expr.(*ast.FuncCall)
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
-	spec, isAgg := c.cat.AggSpec(agg.Name)
-	if !isAgg || spec.OrderSensitive {
-		return nil, nil, false
+	if spec, isAgg := c.cat.AggSpec(agg.Name); !isAgg || spec.OrderSensitive {
+		return nil
 	}
 
 	// Column names available from the subquery's own FROM units.
-	units := make([]*fromUnit, len(s.From))
-	for i, te := range s.From {
-		n, err := c.buildLogicalUnit(te, nil)
-		if err != nil {
-			return nil, nil, false
-		}
-		if units[i], err = c.newFromUnit(i, n, nil); err != nil {
-			return nil, nil, false
-		}
+	local, err := c.describeUnits(units)
+	if err != nil {
+		return nil
 	}
-	localCol := func(cr *ast.ColRef) bool {
-		for _, u := range units {
-			if u.hasCol(cr) {
-				return true
+	localCol := func(cr *ast.ColRef) bool { return len(unitsOf(cr, local)) > 0 }
+	countLocal := func(e ast.Expr) (nLocal, nOuter int) {
+		for _, cr := range ast.ColRefs(e) {
+			if localCol(cr) {
+				nLocal++
+			} else {
+				nOuter++
 			}
 		}
-		return false
+		return nLocal, nOuter
 	}
-	allLocal := func(e ast.Expr) bool {
-		local := true
-		ast.WalkExpr(e, func(x ast.Expr) bool {
-			if cr, ok := x.(*ast.ColRef); ok && !localCol(cr) {
-				local = false
-			}
-			return true
-		})
-		return local
+	// corr accepts side = other as a correlation equality: side a local
+	// column, other free of local columns.
+	corr := func(side, other ast.Expr) (*ast.ColRef, bool) {
+		cr, ok := side.(*ast.ColRef)
+		n, _ := countLocal(other)
+		return cr, ok && localCol(cr) && n == 0
 	}
 
 	// Split WHERE into correlation equalities (local col = outer expr) and
@@ -204,275 +168,191 @@ func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.T
 	var corrCols []*ast.ColRef
 	var corrOuter []ast.Expr
 	var localPreds []ast.Expr
-	for _, cj := range splitConjuncts(s.Where) {
-		if allLocal(cj) {
+	for _, cj := range preds {
+		if _, outer := countLocal(cj); outer == 0 {
 			localPreds = append(localPreds, cj)
 			continue
 		}
 		l, r, isEq := eqSides(cj)
 		if !isEq {
-			return nil, nil, false
+			return nil
 		}
-		var col *ast.ColRef
-		var outer ast.Expr
-		if cr, ok := l.(*ast.ColRef); ok && localCol(cr) && !containsLocalRef(r, localCol) {
-			col, outer = cr, r
-		} else if cr, ok := r.(*ast.ColRef); ok && localCol(cr) && !containsLocalRef(l, localCol) {
-			col, outer = cr, l
-		} else {
-			return nil, nil, false
+		col, ok := corr(l, r)
+		outer := r
+		if !ok {
+			col, ok = corr(r, l)
+			outer = l
 		}
-		// The outer side must reference at least one column (otherwise it
-		// would be local already) and no subqueries of its own.
+		if !ok {
+			return nil
+		}
+		// The outer side references no local column (else the conjunct
+		// would be local) and must hold no subquery of its own.
 		if ast.HasSubquery(outer) {
-			return nil, nil, false
+			return nil
 		}
 		corrCols = append(corrCols, col)
 		corrOuter = append(corrOuter, outer)
 	}
 	if len(corrCols) == 0 {
-		return nil, nil, false
+		return nil
 	}
 
 	// Substitute outer expressions with the (join-equal) correlation columns
 	// inside the aggregate arguments; afterwards everything must be local.
-	substArgs := make([]ast.Expr, len(agg.Args))
+	args := make([]ast.Expr, len(agg.Args))
 	for i, a := range agg.Args {
-		sub := ast.CloneExpr(a)
 		for j, outer := range corrOuter {
-			sub = substituteByString(sub, outer.String(), corrCols[j])
+			key := outer.String()
+			a = ast.MapExpr(a, func(x ast.Expr) ast.Expr {
+				if x.String() == key {
+					return ast.CloneExpr(corrCols[j])
+				}
+				return nil
+			})
 		}
-		if !allLocal(sub) {
-			return nil, nil, false
+		if _, outer := countLocal(a); outer > 0 {
+			return nil
 		}
-		substArgs[i] = sub
-	}
-	for _, p := range localPreds {
-		if !allLocal(p) {
-			return nil, nil, false
-		}
+		args[i] = a
 	}
 
-	*serial++
-	alias := fmt.Sprintf("__dcor%d", *serial)
-
-	derived := &ast.Select{From: s.From}
+	d.serial++
+	alias := fmt.Sprintf("__dcor%d", d.serial)
+	var in lNode = &lCross{Units: units}
+	if len(units) == 1 {
+		in = units[0]
+	}
+	for _, pred := range localPreds {
+		in = &lFilter{In: in, Pred: pred}
+	}
 	var groupBy []ast.Expr
+	var keyItems []ast.SelectItem
 	var on ast.Expr
 	for j, col := range corrCols {
 		kname := fmt.Sprintf("__k%d", j)
-		derived.Items = append(derived.Items, ast.SelectItem{Expr: col, Alias: kname})
-		groupBy = append(groupBy, col)
+		keyItems = append(keyItems, ast.SelectItem{Expr: ast.CloneExpr(col), Alias: kname})
+		groupBy = append(groupBy, ast.CloneExpr(col))
 		on = ast.And(on, ast.Eq(ast.QCol(alias, kname), corrOuter[j]))
 	}
-	derived.Items = append(derived.Items,
-		ast.SelectItem{Expr: ast.IntLit(1), Alias: "__m"},
-		ast.SelectItem{Expr: &ast.FuncCall{Name: agg.Name, Args: substArgs, Star: agg.Star}, Alias: "__v"},
-	)
-	derived.GroupBy = groupBy
-	derived.Where = ast.And(localPreds...)
-
-	join := &ast.Join{
-		Kind: ast.JoinLeft,
-		L:    left,
-		R:    &ast.SubqueryRef{Query: derived, Alias: alias},
-		On:   on,
+	derived := &lDerived{
+		Alias: alias,
+		mark:  ruleName(RuleDecorrelate),
+		Child: &lProject{
+			In: &lAggregate{In: in, GroupBy: groupBy},
+			Items: append(keyItems,
+				ast.SelectItem{Expr: ast.IntLit(1), Alias: "__m"},
+				ast.SelectItem{Expr: &ast.FuncCall{Name: agg.Name, Args: args, Star: agg.Star}, Alias: "__v"}),
+		},
 	}
-	repl := &ast.CaseExpr{
+	d.from = &lJoin{Kind: ast.JoinLeft, L: d.from, R: derived, On: on}
+	d.rw.fire(RuleDecorrelate)
+	return &ast.CaseExpr{
 		Whens: []ast.WhenClause{{
 			Cond: &ast.IsNullExpr{E: ast.QCol(alias, "__m")},
 			Then: &ast.FuncCall{Name: "__agg_empty", Args: []ast.Expr{ast.StrLit(agg.Name)}},
 		}},
 		Else: ast.QCol(alias, "__v"),
 	}
-	return repl, join, true
 }
 
-func containsLocalRef(e ast.Expr, localCol func(*ast.ColRef) bool) bool {
-	found := false
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if cr, ok := x.(*ast.ColRef); ok && localCol(cr) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// substituteByString replaces every subtree of e whose String() rendering
-// equals key with repl (used to replace outer correlation expressions with
-// the join-equal local column).
-func substituteByString(e ast.Expr, key string, repl ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if e.String() == key {
-		return ast.CloneExpr(repl)
-	}
-	switch x := e.(type) {
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: substituteByString(x.L, key, repl), R: substituteByString(x.R, key, repl)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: substituteByString(x.E, key, repl)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: substituteByString(x.E, key, repl), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{
-				Cond: substituteByString(w.Cond, key, repl),
-				Then: substituteByString(w.Then, key, repl),
-			})
-		}
-		if x.Else != nil {
-			out.Else = substituteByString(x.Else, key, repl)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, substituteByString(a, key, repl))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{
-			E:  substituteByString(x.E, key, repl),
-			Lo: substituteByString(x.Lo, key, repl),
-			Hi: substituteByString(x.Hi, key, repl), Negate: x.Negate,
-		}
-	default:
-		return e
-	}
-}
-
-// flattenDerived inlines trivial derived tables (pure projections without
-// aggregation, DISTINCT, TOP, set operations, or CTEs) into the enclosing
-// FROM list, exposing their predicates — in particular the correlation
-// equalities that the Aggify rewrite leaves inside its "FROM (Q) Q"
-// sub-select (Eq. 5).
-func flattenDerived(s *ast.Select) {
-	var newFrom []ast.TableExpr
-	for _, te := range s.From {
-		sr, ok := te.(*ast.SubqueryRef)
-		if !ok || !flattenable(sr.Query) {
-			newFrom = append(newFrom, te)
+// flattenDerived inlines plain derived tables — a bare block spine without
+// aggregation, DISTINCT or Eq. 6 enforcement, projecting no `*` — into a
+// subquery's FROM list, exposing their predicates: in particular the
+// correlation equalities that the Aggify rewrite leaves inside its
+// "FROM (Q) Q" sub-select (Eq. 5). References to a flattened table's
+// columns in items and preds become the expressions its projection names;
+// its own WHERE conjuncts follow preds. A table stays when inlining would
+// let a column name bind to a different table than it did before.
+func (c *compiler) flattenDerived(units []lNode, items []ast.SelectItem, preds []ast.Expr) ([]lNode, []ast.SelectItem, []ast.Expr) {
+	var out []lNode
+	for k, u := range units {
+		d, inner, ok := plainDerived(u)
+		if !ok {
+			out = append(out, u)
 			continue
 		}
-		inner := sr.Query
-		// Build the substitution: alias.name / name -> inner item expr.
-		subst := map[string]ast.Expr{}
-		ambiguous := map[string]bool{}
-		allPlain := true
-		for i, it := range inner.Items {
-			if it.Star {
-				allPlain = false
-				break
-			}
-			name := it.Alias
-			if name == "" {
-				if cr, isCol := it.Expr.(*ast.ColRef); isCol {
-					name = cr.Name
-				} else {
-					name = fmt.Sprintf("col%d", i+1)
-				}
-			}
-			if _, dup := subst[name]; dup {
-				ambiguous[name] = true
-			}
-			subst[name] = it.Expr
-		}
-		if !allPlain {
-			newFrom = append(newFrom, te)
+		byName, dup := itemIndex(inner.proj.Items)
+		innerUnits, err := c.describeUnits(fromUnits(inner.from))
+		siblings, serr := c.describeUnits(append(slices.Clone(out), units[k+1:]...))
+		if byName == nil || err != nil || serr != nil {
+			out = append(out, u)
 			continue
 		}
-		replace := func(e ast.Expr) ast.Expr {
-			return mapColRefs(e, func(cr *ast.ColRef) ast.Expr {
-				if cr.Table != "" && cr.Table != sr.Alias {
-					return cr
-				}
-				if ambiguous[cr.Name] {
-					return cr
-				}
-				if repl, ok := subst[cr.Name]; ok {
-					return ast.CloneExpr(repl)
-				}
-				return cr
-			})
-		}
-		for i := range s.Items {
-			if !s.Items[i].Star {
-				s.Items[i].Expr = replace(s.Items[i].Expr)
+		// The inlined units must not capture a reference that bound
+		// elsewhere (a reference substitution leaves in place — the same
+		// pointer), and the siblings must not capture an outer reference
+		// of the inlined body.
+		captured := func(orig, mapped ast.Expr) bool {
+			kept := map[*ast.ColRef]bool{}
+			for _, cr := range ast.ColRefs(orig) {
+				kept[cr] = true
 			}
-		}
-		if s.Where != nil {
-			s.Where = replace(s.Where)
-		}
-		newFrom = append(newFrom, inner.From...)
-		s.Where = ast.And(s.Where, inner.Where)
-	}
-	s.From = newFrom
-}
-
-func flattenable(q *ast.Select) bool {
-	if len(q.With) > 0 || q.Union != nil || q.Distinct || q.Top != nil ||
-		len(q.GroupBy) > 0 || q.Having != nil || len(q.OrderBy) > 0 || q.OrderEnforced {
-		return false
-	}
-	if len(q.From) == 0 {
-		return false
-	}
-	// No aggregate-looking calls in the projection (conservative: any
-	// function call whose arguments reference columns could be an
-	// aggregate; only plain items are flattened).
-	for _, it := range q.Items {
-		if it.Star {
+			for _, cr := range ast.ColRefs(mapped) {
+				if kept[cr] && (cr.Table == d.Alias || len(unitsOf(cr, innerUnits)) > 0) {
+					return true
+				}
+			}
 			return false
 		}
+		subst := func(e ast.Expr) ast.Expr {
+			r, sok := substItems(e, d.Alias, inner.proj.Items, byName, dup)
+			ok = ok && sok && !captured(e, r)
+			return r
+		}
+		newItems := make([]ast.SelectItem, len(items))
+		for i, it := range items {
+			newItems[i] = ast.SelectItem{Expr: subst(it.Expr), Alias: it.Alias, Star: it.Star}
+		}
+		var newPreds []ast.Expr
+		for _, pr := range preds {
+			newPreds = append(newPreds, splitConjuncts(subst(pr))...)
+		}
+		moved := predsOf(inner.where)
+		for _, it := range inner.proj.Items {
+			moved = append(moved, it.Expr)
+		}
+		for _, cr := range ast.ColRefs(ast.And(moved...)) {
+			if len(unitsOf(cr, innerUnits)) == 0 && len(unitsOf(cr, siblings)) > 0 {
+				ok = false
+			}
+		}
+		if !ok {
+			out = append(out, u)
+			continue
+		}
+		items = newItems
+		preds = append(newPreds, predsOf(inner.where)...)
+		out = append(out, fromUnits(inner.from)...)
 	}
-	return true
+	return out, items, preds
 }
 
-// mapColRefs rewrites column references through fn.
-func mapColRefs(e ast.Expr, fn func(*ast.ColRef) ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
+// describeUnits describes FROM nodes for column classification (CTE
+// references, unresolvable here, are an error).
+func (c *compiler) describeUnits(nodes []lNode) ([]*fromUnit, error) {
+	out := make([]*fromUnit, len(nodes))
+	for i, n := range nodes {
+		u, err := c.newFromUnit(i, n, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = u
 	}
-	switch x := e.(type) {
-	case *ast.ColRef:
-		return fn(x)
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: mapColRefs(x.L, fn), R: mapColRefs(x.R, fn)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: mapColRefs(x.E, fn)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: mapColRefs(x.E, fn), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{Cond: mapColRefs(w.Cond, fn), Then: mapColRefs(w.Then, fn)})
-		}
-		if x.Else != nil {
-			out.Else = mapColRefs(x.Else, fn)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, mapColRefs(a, fn))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{E: mapColRefs(x.E, fn), Lo: mapColRefs(x.Lo, fn), Hi: mapColRefs(x.Hi, fn), Negate: x.Negate}
-	case *ast.InExpr:
-		out := &ast.InExpr{E: mapColRefs(x.E, fn), Negate: x.Negate, Query: x.Query}
-		for _, it := range x.List {
-			out.List = append(out.List, mapColRefs(it, fn))
-		}
-		return out
-	default:
-		// Subqueries and literals pass through unchanged; correlation into
-		// flattened derived tables from deeper subqueries is left intact
-		// (names remain valid since the inner FROM units are spliced in).
-		return e
+	return out, nil
+}
+
+// plainDerived returns n and its spine when n is a derived table
+// flattenDerived may inline.
+func plainDerived(n lNode) (*lDerived, blockSpine, bool) {
+	d, ok := n.(*lDerived)
+	if !ok {
+		return nil, blockSpine{}, false
 	}
+	p, ok := d.Child.(*lProject)
+	if !ok || p.Distinct || p.OrderEnforced {
+		return nil, blockSpine{}, false
+	}
+	sp := spineOf(p)
+	return d, sp, sp.agg == nil && len(fromUnits(sp.from)) > 0
 }

@@ -1,16 +1,17 @@
 // Package plan compiles query ASTs into executable physical operator trees.
-// A query is decorrelated once (the rewrite that gives the paper's "Aggify+"
-// configuration its set-oriented plans); then every SELECT block — top
-// level, derived tables, CTE bodies, UNION branches, scalar/EXISTS/IN
-// subqueries — runs one pipeline: build a small relational IR
-// (logical.go), run a rule-based rewrite pass over it (rewrite.go: constant
-// folding, predicate pushdown, projection pruning, redundant-sort
-// elimination; access.go: cost-based join reordering and access-path
-// choice — each rule individually toggleable and reported in EXPLAIN), and
-// compile physical operators straight from the rewritten nodes: predicate
-// placement, join-order and join-algorithm choice, scalar-subquery apply,
-// parallel aggregation eligibility, and the paper's Eq. 6
-// streaming-aggregate enforcement for order-sensitive custom aggregates.
+// Every SELECT block — top level, derived tables, CTE bodies, UNION
+// branches, scalar/EXISTS/IN subqueries — runs one pipeline: build a small
+// relational IR (logical.go), run a rule-based rewrite pass over it
+// (rewrite.go: constant folding, predicate pushdown, projection pruning,
+// redundant-sort elimination; decorrelate.go: on the query's root block,
+// the apply decorrelation that gives the paper's "Aggify+" configuration
+// its set-oriented plans; access.go: cost-based join reordering and
+// access-path choice — each rule individually toggleable and reported in
+// EXPLAIN), and compile physical operators straight from the rewritten
+// nodes: predicate placement, join-order and join-algorithm choice,
+// scalar-subquery apply, parallel aggregation eligibility, and the paper's
+// Eq. 6 streaming-aggregate enforcement for order-sensitive custom
+// aggregates.
 package plan
 
 import (
@@ -38,14 +39,11 @@ type Catalog interface {
 // Options control optimizer behaviour; the zero value is the default
 // configuration used by the engine.
 type Options struct {
-	// DisableDecorrelation turns off the apply-decorrelation rewrite
-	// (for the Aggify+ ablation). It also disables logical rewrite rules
-	// that assume decorrelated shapes (RulePushFilterDecor), so the
-	// ablation measures what it claims.
-	DisableDecorrelation bool
 	// DisableRules turns off individual logical rewrite rules (rewrite.go);
 	// RuleAll disables the whole pass. A bitmask rather than a slice so
-	// Options stays usable as a plan-cache key.
+	// Options stays usable as a plan-cache key. RuleDecorrelate alone is
+	// the Aggify+ ablation: it also turns off RulePushFilterDecor, the
+	// rule that assumes decorrelated shapes.
 	DisableRules RuleSet
 	// Parallelism > 1 allows parallel aggregation (via the aggregate Merge
 	// contract) for order-insensitive aggregations over large inputs.

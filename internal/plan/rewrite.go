@@ -30,11 +30,16 @@ import (
 type RuleSet uint32
 
 const (
+	// RuleDecorrelate rewrites correlated scalar-aggregate subqueries in the
+	// projection of a query's root block into a LEFT JOIN against a grouped
+	// derived table (decorrelate.go) — the set-oriented plans of the
+	// paper's Aggify+ configuration. Nested blocks keep per-row apply.
+	RuleDecorrelate RuleSet = 1 << iota
 	// RuleFoldConst folds constant subexpressions with SQL three-valued
 	// NULL semantics, mirroring the runtime evaluator exactly (expressions
 	// whose evaluation would error are left alone), and removes WHERE/HAVING
 	// conjuncts that fold to constant TRUE.
-	RuleFoldConst RuleSet = 1 << iota
+	RuleFoldConst
 	// RulePushFilter pushes single-source predicates into plain derived
 	// tables (through the projection, by substituting item expressions) and
 	// below inner joins — including the `(Q) aggify_q` derived table the
@@ -44,8 +49,8 @@ const (
 	// RulePushFilterDecor pushes predicates through the shapes decorrelation
 	// emits: group-key predicates into grouped derived tables, and preserved-
 	// side predicates below LEFT JOINs. Disabled automatically when
-	// Options.DisableDecorrelation is set, so the decorrelation ablation
-	// measures what it claims.
+	// RuleDecorrelate is, so the decorrelation ablation measures what it
+	// claims.
 	RulePushFilterDecor
 	// RulePruneProject drops unreferenced pass-through columns from derived
 	// table projections so only referenced columns flow through joins and
@@ -81,10 +86,12 @@ const RuleAll RuleSet = ruleSentinel - 1
 func (r RuleSet) Has(x RuleSet) bool { return r&x != 0 }
 
 // ruleOrder fixes the reporting order (the order rules run in a pass).
-var ruleOrder = []RuleSet{RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
+var ruleOrder = []RuleSet{RuleDecorrelate, RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
 
 func ruleName(r RuleSet) string {
 	switch r {
+	case RuleDecorrelate:
+		return "decorrelate"
 	case RuleFoldConst:
 		return "fold_const"
 	case RulePushFilter:
@@ -109,16 +116,17 @@ func ruleName(r RuleSet) string {
 const maxRewritePasses = 10
 
 // rewrite runs the enabled rules over one select root's IR, counting every
-// firing into the compiler's report.
-func (c *compiler) rewrite(n lNode) lNode {
+// firing into the compiler's report. root marks the query's root block, the
+// only one decorrelate rewrites.
+func (c *compiler) rewrite(n lNode, root bool) lNode {
 	rules := RuleAll &^ c.opts.DisableRules
-	if c.opts.DisableDecorrelation {
+	if !rules.Has(RuleDecorrelate) {
 		rules &^= RulePushFilterDecor
 	}
 	if rules == 0 {
 		return n
 	}
-	return (&rewriter{c: c, rules: rules}).run(n)
+	return (&rewriter{c: c, rules: rules}).run(n, root)
 }
 
 type rewriter struct {
@@ -149,7 +157,10 @@ func (c *compiler) firedList() []string {
 	return out
 }
 
-func (rw *rewriter) run(n lNode) lNode {
+func (rw *rewriter) run(n lNode, root bool) lNode {
+	if root && rw.rules.Has(RuleDecorrelate) {
+		n = rw.decorrelate(n)
+	}
 	for pass := 0; pass < maxRewritePasses; pass++ {
 		before := rw.total
 		if rw.rules.Has(RuleFoldConst) {
@@ -531,18 +542,9 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 		break
 	}
 
-	byName := map[string]int{}
-	dup := map[string]bool{}
-	for i, it := range p.Items {
-		if it.Star {
-			return 0, false
-		}
-		name := itemOutName(it, i)
-		if _, seen := byName[name]; seen {
-			dup[name] = true
-		} else {
-			byName[name] = i
-		}
+	byName, dup := itemIndex(p.Items)
+	if byName == nil {
+		return 0, false
 	}
 
 	aggNode := spineOf(p).agg
@@ -572,24 +574,8 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 		return 0, false
 	}
 
-	okSubst := true
-	subst := mapColRefs(ast.CloneExpr(pred), func(cr *ast.ColRef) ast.Expr {
-		if cr.Table != "" && cr.Table != d.Alias {
-			okSubst = false
-			return cr
-		}
-		if dup[cr.Name] {
-			okSubst = false
-			return cr
-		}
-		idx, found := byName[cr.Name]
-		if !found {
-			okSubst = false
-			return cr
-		}
-		return ast.CloneExpr(p.Items[idx].Expr)
-	})
-	if !okSubst || !totalPushExpr(subst) {
+	subst, ok := substItems(pred, d.Alias, p.Items, byName, dup)
+	if !ok || !totalPushExpr(subst) {
 		return 0, false
 	}
 
@@ -601,6 +587,29 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 	}
 	d.mark = addMark(d.mark, mark)
 	return rule, true
+}
+
+// substItems rewrites references to derived table alias's output columns
+// (qualified by alias, or unqualified) into copies of the projection items
+// they name; references qualified by another table, and names the items do
+// not produce, pass through. byName and dup come from itemIndex(items). It
+// fails on a reference to a duplicated output name, which no substitution
+// can resolve.
+func substItems(e ast.Expr, alias string, items []ast.SelectItem, byName map[string]int, dup map[string]bool) (ast.Expr, bool) {
+	ok := true
+	out := ast.MapExpr(e, func(x ast.Expr) ast.Expr {
+		cr, isCol := x.(*ast.ColRef)
+		if !isCol || (cr.Table != "" && cr.Table != alias) {
+			return nil
+		}
+		if dup[cr.Name] {
+			ok = false
+		} else if i, found := byName[cr.Name]; found {
+			return ast.CloneExpr(items[i].Expr)
+		}
+		return nil
+	})
+	return out, ok
 }
 
 // totalPushExpr reports whether e is total: evaluating it can never raise a

@@ -56,13 +56,17 @@ go build ./...
 stage "go test -race"
 go test -race ./...
 
-stage "fuzz WAL decoders (10s per target)"
+stage "fuzz WAL decoders and the planner (10s per target)"
 # Corrupt log records and checkpoint payloads must decode to errors, never
 # panics or unbounded allocations. Seeds live in internal/wal/testdata/fuzz;
 # keep any crasher the fuzzer writes there as a regression seed.
 for target in FuzzDecodeRecord FuzzDecodeCheckpoint; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/wal
 done
+# Planning must never panic, and the rewrite rules must never make a query
+# that compiles with them off fail with them on (Compile has no fallback).
+# Seeds live in internal/plan/testdata/fuzz; keep crashers there too.
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime=10s ./internal/plan
 
 stage "tracing-overhead guard (disabled tracing must not allocate)"
 go test -count=1 -run TestDisabledTracingZeroAllocs ./internal/trace
